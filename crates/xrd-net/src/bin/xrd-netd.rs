@@ -32,18 +32,17 @@
 //!   shards): serial vs shard-parallel deliver/paginated-fetch, with an
 //!   offline fraction draining a two-round backlog — fails on any lost
 //!   or duplicated entry;
-//! * `launch --manifest FILE [--users N] [--rounds R] [--transport T]`
-//!   — spawn the deployment a manifest describes as real `xrd-netd`
-//!   child processes (key ceremony, config files, daemon-to-daemon
-//!   `--successor` wiring), drive a client-reactor swarm against it,
+//! * `launch --manifest FILE [--users N] [--rounds R]` — spawn the
+//!   deployment a manifest describes as real `xrd-netd` child
+//!   processes (key ceremony, config files), drive a client-reactor
+//!   swarm against it,
 //!   print per-round latency/throughput, and shut everything down over
 //!   the wire (see `docs/DEPLOYMENT.md`);
 //! * `scale [--users N[,N...]] [--rounds R]` — the §8 scaling curve:
 //!   for each population size, launch a fresh multi-process deployment
-//!   and drive the emulated-user swarm through `R` rounds under the
-//!   forwarded transport and again under coordinator-relayed
-//!   streaming, emitting one JSON object per size (round latency,
-//!   msgs/s, per-phase span timings).  Multiple sizes re-invoke this
+//!   and drive the emulated-user swarm through `R` rounds, emitting
+//!   one JSON object per size (round latency, msgs/s, per-phase span
+//!   timings).  Multiple sizes re-invoke this
 //!   binary once per size so each measurement gets a clean process-
 //!   global metrics registry;
 //! * `stats ADDR` — scrape any running daemon's metrics over the wire
@@ -66,13 +65,13 @@ use xrd_net::codec::{decode_server_config, encode_server_config};
 use xrd_net::{
     launch_local, launch_local_faulty, launch_manifest, mailbox_storm, run_swarm, submit_storm,
     ByzantineMode, FaultPlan, FaultProxy, MailboxDaemon, MailboxStormConfig, Manifest,
-    MixServerDaemon, StormConfig, SwarmConfig, Transport,
+    MixServerDaemon, StormConfig, SwarmConfig,
 };
 
 fn usage() -> ExitCode {
     eprintln!(
         "usage:\n  xrd-netd keygen --chain-len K [--epoch E] --out-dir DIR\n  \
-         xrd-netd mix --config FILE [--listen ADDR] [--successor ADDR] [--journal FILE]\n  \
+         xrd-netd mix --config FILE [--listen ADDR] [--journal FILE]\n  \
          xrd-netd byzantine --config FILE --mode lie-verify|equivocate-digest|corrupt-hop \
          [--listen ADDR]\n  \
          xrd-netd proxy --upstream ADDR [--listen ADDR] [--plan FILE]\n  \
@@ -81,8 +80,7 @@ fn usage() -> ExitCode {
          [--page-max N] [--dir DIR] [--seed X]\n  \
          xrd-netd demo [--servers N] [--chain-len K] [--shards S] [--users U] [--rounds R] \
          [--faults FILE]\n  \
-         xrd-netd launch --manifest FILE [--users N] [--rounds R] \
-         [--transport forwarded|streamed]\n  \
+         xrd-netd launch --manifest FILE [--users N] [--rounds R]\n  \
          xrd-netd scale [--users N[,N...]] [--rounds R] [--servers S] [--chain-len K] \
          [--shards M] [--json FILE]\n  \
          xrd-netd stress [--conns N] [--workers W] [--chain-len K]\n  \
@@ -243,16 +241,6 @@ fn mix(args: &[String]) -> ExitCode {
         return usage();
     };
     let listen = flag(args, "--listen").unwrap_or_else(|| "127.0.0.1:0".into());
-    let successor = match flag(args, "--successor") {
-        None => None,
-        Some(addr) => match addr.parse::<std::net::SocketAddr>() {
-            Ok(a) => Some(a),
-            Err(e) => {
-                xrd_obs::error!("mix: bad successor address {addr}: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-    };
     let blob = match std::fs::read(&config_path) {
         Ok(b) => b,
         Err(e) => {
@@ -273,15 +261,13 @@ fn mix(args: &[String]) -> ExitCode {
             secrets,
             public,
             rand::rngs::OsRng.next_u64(),
-            successor,
             journal,
         ),
-        None => MixServerDaemon::spawn_with_successor(
+        None => MixServerDaemon::spawn(
             listen.as_str(),
             secrets,
             public,
             rand::rngs::OsRng.next_u64(),
-            successor,
         ),
     };
     let daemon = match daemon {
@@ -656,14 +642,6 @@ fn launch(args: &[String]) -> ExitCode {
     let rounds = flag(args, "--rounds")
         .and_then(|v| v.parse().ok())
         .unwrap_or(2u64);
-    let transport = match flag(args, "--transport").as_deref() {
-        None | Some("forwarded") => Transport::Forwarded { chunk: 64 },
-        Some("streamed") => Transport::Streamed { chunk: 64 },
-        Some(other) => {
-            xrd_obs::error!("launch: unknown transport `{other}` (forwarded|streamed)");
-            return usage();
-        }
-    };
     let text = match std::fs::read_to_string(&path) {
         Ok(t) => t,
         Err(e) => {
@@ -708,7 +686,6 @@ fn launch(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    deployment.set_transport(transport);
     let report = match run_swarm(
         &mut rng,
         &mut deployment,
@@ -762,10 +739,10 @@ fn json_f64s(v: &[f64]) -> String {
     format!("[{}]", items.join(", "))
 }
 
-/// One transport pass's measurements as a JSON object.  `stats` is the
-/// snapshot to pull phase spans from (the final snapshot covers every
-/// pass; the per-report round numbers keep them separable).
-fn pass_json(report: &xrd_net::SwarmReport, stats: &xrd_obs::Snapshot) -> String {
+/// One swarm run's measurements as JSON object members, phase spans
+/// pulled from the run's own end-of-run snapshot.
+fn run_json(report: &xrd_net::SwarmReport) -> String {
+    let stats = &report.stats;
     let rounds: Vec<u64> = report.rounds.iter().map(|r| r.round).collect();
     let latency_ms: Vec<f64> = report
         .rounds
@@ -774,8 +751,8 @@ fn pass_json(report: &xrd_net::SwarmReport, stats: &xrd_obs::Snapshot) -> String
         .collect();
     let msgs: Vec<f64> = report.rounds.iter().map(|r| r.msgs_per_sec).collect();
     format!(
-        "{{\"round_ms\": {}, \"msgs_per_sec\": {}, \"submit_ms\": {}, \"mix_ms\": {}, \
-         \"deliver_ms\": {}, \"fetch_ms\": {}}}",
+        "\"round_ms\": {}, \"msgs_per_sec\": {}, \"submit_ms\": {}, \"mix_ms\": {}, \
+         \"deliver_ms\": {}, \"fetch_ms\": {}",
         json_f64s(&latency_ms),
         json_f64s(&msgs),
         json_f64s(&spans_ms(stats, "round.submit_window", &rounds)),
@@ -786,8 +763,7 @@ fn pass_json(report: &xrd_net::SwarmReport, stats: &xrd_obs::Snapshot) -> String
 }
 
 /// The §8 scaling curve: per population size, a fresh multi-process
-/// deployment, the swarm under forwarded then streamed transport, one
-/// JSON object on stdout.  Multiple sizes run as child invocations so
+/// deployment driven by the swarm, one JSON object on stdout.  Multiple sizes run as child invocations so
 /// every measurement gets its own process-global metrics registry.
 fn scale(args: &[String]) -> ExitCode {
     let users_arg = flag(args, "--users").unwrap_or_else(|| "1000,10000,50000".into());
@@ -924,35 +900,20 @@ fn scale(args: &[String]) -> ExitCode {
         n_users,
         rounds,
         conversing_fraction: 0.5,
-        submit_workers: 8,
     };
-    deployment.set_transport(Transport::Forwarded { chunk: 64 });
-    let forwarded = match run_swarm(&mut rng, &mut deployment, &config) {
+    let report = match run_swarm(&mut rng, &mut deployment, &config) {
         Ok(r) => r,
         Err(e) => {
-            xrd_obs::error!("scale: forwarded pass failed: {e}");
-            cluster.shutdown();
-            return ExitCode::FAILURE;
-        }
-    };
-    deployment.set_transport(Transport::Streamed { chunk: 64 });
-    let streamed = match run_swarm(&mut rng, &mut deployment, &config) {
-        Ok(r) => r,
-        Err(e) => {
-            xrd_obs::error!("scale: streamed pass failed: {e}");
+            xrd_obs::error!("scale: swarm failed: {e}");
             cluster.shutdown();
             return ExitCode::FAILURE;
         }
     };
     cluster.shutdown();
-    // The final snapshot has both passes' spans; report round numbers
-    // keep them separable.
     println!(
         "{{\"users\": {n_users}, \"rounds\": {rounds}, \"servers\": {servers}, \
-         \"chain_len\": {chain_len}, \"shards\": {shards}, \
-         \"forwarded\": {}, \"streamed\": {}}}",
-        pass_json(&forwarded, &streamed.stats),
-        pass_json(&streamed, &streamed.stats),
+         \"chain_len\": {chain_len}, \"shards\": {shards}, {}}}",
+        run_json(&report),
     );
     ExitCode::SUCCESS
 }

@@ -112,10 +112,11 @@ const TAG_CLOSE_SUBMISSIONS: u8 = 0x12;
 const TAG_BATCH_DIGEST: u8 = 0x13;
 const TAG_GET_BATCH: u8 = 0x14;
 const TAG_SUBMISSION_BATCH: u8 = 0x15;
-const TAG_MIX_BATCH: u8 = 0x20;
-const TAG_HOP_OUTPUT: u8 = 0x21;
+// 0x20 (MixBatch), 0x21 (HopOutput) and 0x23 (VerifyHop) carried
+// whole-batch hops with per-hop verification; a one-chunk stream
+// (0x25–0x2A) carries the same batch and `VerifyHopKeys` the same
+// check.  Retired and reserved like 0x51/0x52 below.
 const TAG_HOP_FAILURE: u8 = 0x22;
-const TAG_VERIFY_HOP: u8 = 0x23;
 const TAG_VERIFY_RESULT: u8 = 0x24;
 const TAG_MIX_BATCH_START: u8 = 0x25;
 const TAG_MIX_BATCH_CHUNK: u8 = 0x26;
@@ -124,8 +125,9 @@ const TAG_HOP_OUTPUT_START: u8 = 0x28;
 const TAG_HOP_OUTPUT_CHUNK: u8 = 0x29;
 const TAG_HOP_OUTPUT_END: u8 = 0x2A;
 const TAG_VERIFY_HOP_KEYS: u8 = 0x2B;
-const TAG_MIX_FORWARD: u8 = 0x2C;
-const TAG_HOP_FORWARDED: u8 = 0x2D;
+// 0x2C (MixForward) and 0x2D (HopForwarded) carried daemon-to-daemon
+// forwarding, which measured slower than coordinator-relayed streaming;
+// retired and reserved.
 const TAG_REVEAL_INNER_KEY: u8 = 0x30;
 const TAG_INNER_KEY_REVEAL: u8 = 0x31;
 const TAG_PREPARE_ROTATION: u8 = 0x32;
@@ -257,25 +259,6 @@ pub enum Frame {
         submissions: Vec<Submission>,
     },
 
-    /// Run one AHS hop on a batch (coordinator → mix; answered with
-    /// [`Frame::HopOutput`] or [`Frame::HopFailure`]).
-    MixBatch {
-        /// Round number.
-        round: u64,
-        /// Entries to decrypt, blind and shuffle.
-        entries: Vec<MixEntry>,
-    },
-    /// A completed hop: shuffled outputs plus the aggregate proof.
-    HopOutput {
-        /// Round number.
-        round: u64,
-        /// The prover's hop position.
-        position: u32,
-        /// Shuffled, decrypted, blinded entries.
-        outputs: Vec<MixEntry>,
-        /// Aggregate blinding attestation (§6.3 step 3).
-        proof: DleqProof,
-    },
     /// A hop halted on authentication failures (blame follows).
     HopFailure {
         /// Round number.
@@ -285,21 +268,7 @@ pub enum Frame {
         /// Failing indices into the hop's input batch.
         failed: Vec<u64>,
     },
-    /// Ask a server to verify another server's hop attestation
-    /// (coordinator → mix; answered with [`Frame::VerifyResult`]).
-    VerifyHop {
-        /// Round number.
-        round: u64,
-        /// The *prover's* position.
-        position: u32,
-        /// The prover's inputs.
-        inputs: Vec<MixEntry>,
-        /// The prover's outputs.
-        outputs: Vec<MixEntry>,
-        /// The aggregate proof to check.
-        proof: DleqProof,
-    },
-    /// The verdict of a [`Frame::VerifyHop`] request.
+    /// The verdict of a [`Frame::VerifyHopKeys`] request.
     VerifyResult {
         /// Whether the attestation verified.
         ok: bool,
@@ -357,11 +326,12 @@ pub enum Frame {
         /// Aggregate blinding attestation (§6.3 step 3).
         proof: DleqProof,
     },
-    /// [`Frame::VerifyHop`] shipping only the DH-key columns.  The
-    /// §6.3 attestation binds products of the DH keys — ciphertexts
-    /// never enter the statement — so this checks the same relation at
-    /// ~1/8 the wire cost.  The streamed round path uses it for its
-    /// end-of-chain cross-server verification.
+    /// Ask a server to verify another server's hop attestation from
+    /// the DH-key columns alone (coordinator → mix; answered with
+    /// [`Frame::VerifyResult`]).  The §6.3 attestation binds products
+    /// of the DH keys — ciphertexts never enter the statement — so the
+    /// columns are all a verifier needs.  The coordinator sends it for
+    /// every hop at the end of the chain.
     VerifyHopKeys {
         /// Round number.
         round: u64,
@@ -372,35 +342,6 @@ pub enum Frame {
         /// DH keys of the prover's outputs, in emission order.
         output_dhs: Vec<GroupElement>,
         /// The aggregate proof to check.
-        proof: DleqProof,
-    },
-    /// Coordinator → every hop of a chain, before streaming the round's
-    /// batch to hop 0: run this round in *forwarded* mode.  A hop with
-    /// a configured successor streams its output chunks straight to
-    /// that successor instead of replying with them, and reports only
-    /// its keys-only attestation ([`Frame::HopForwarded`]) on the
-    /// connection this frame arrived on; the last hop (no successor)
-    /// reports its full output stream there instead.  Answered with
-    /// [`Frame::Ok`]; the reports follow unsolicited once the hop
-    /// completes.
-    MixForward {
-        /// Round number.
-        round: u64,
-    },
-    /// A forwarding hop's keys-only attestation for a round it ran in
-    /// forwarded mode: the same statement as [`Frame::VerifyHopKeys`]
-    /// (§6.3 binds only the DH-key columns), pushed to the coordinator
-    /// while the full entries travel daemon-to-daemon.
-    HopForwarded {
-        /// Round number.
-        round: u64,
-        /// The reporting hop's position.
-        position: u32,
-        /// DH keys of the hop's inputs, in arrival order.
-        input_dhs: Vec<GroupElement>,
-        /// DH keys of the hop's outputs, in emission order.
-        output_dhs: Vec<GroupElement>,
-        /// Aggregate blinding attestation (§6.3 step 3).
         proof: DleqProof,
     },
 
@@ -1082,25 +1023,6 @@ impl Frame {
                 }
                 w
             }
-            Frame::MixBatch { round, entries } => {
-                let mut w = Writer::new(TAG_MIX_BATCH);
-                w.u64(*round);
-                w.mix_entries(entries);
-                w
-            }
-            Frame::HopOutput {
-                round,
-                position,
-                outputs,
-                proof,
-            } => {
-                let mut w = Writer::new(TAG_HOP_OUTPUT);
-                w.u64(*round);
-                w.u32(*position);
-                w.mix_entries(outputs);
-                w.dleq(proof);
-                w
-            }
             Frame::HopFailure {
                 round,
                 position,
@@ -1113,21 +1035,6 @@ impl Frame {
                 for i in failed {
                     w.u64(*i);
                 }
-                w
-            }
-            Frame::VerifyHop {
-                round,
-                position,
-                inputs,
-                outputs,
-                proof,
-            } => {
-                let mut w = Writer::new(TAG_VERIFY_HOP);
-                w.u64(*round);
-                w.u32(*position);
-                w.mix_entries(inputs);
-                w.mix_entries(outputs);
-                w.dleq(proof);
                 w
             }
             Frame::VerifyResult { ok } => {
@@ -1181,26 +1088,6 @@ impl Frame {
                 proof,
             } => {
                 let mut w = Writer::new(TAG_VERIFY_HOP_KEYS);
-                w.u64(*round);
-                w.u32(*position);
-                w.groups(input_dhs);
-                w.groups(output_dhs);
-                w.dleq(proof);
-                w
-            }
-            Frame::MixForward { round } => {
-                let mut w = Writer::new(TAG_MIX_FORWARD);
-                w.u64(*round);
-                w
-            }
-            Frame::HopForwarded {
-                round,
-                position,
-                input_dhs,
-                output_dhs,
-                proof,
-            } => {
-                let mut w = Writer::new(TAG_HOP_FORWARDED);
                 w.u64(*round);
                 w.u32(*position);
                 w.groups(input_dhs);
@@ -1410,16 +1297,6 @@ impl Frame {
                 let submissions = (0..n).map(|_| r.submission()).collect::<Result<_, _>>()?;
                 Frame::SubmissionBatch { round, submissions }
             }
-            TAG_MIX_BATCH => Frame::MixBatch {
-                round: r.u64()?,
-                entries: r.mix_entries()?,
-            },
-            TAG_HOP_OUTPUT => Frame::HopOutput {
-                round: r.u64()?,
-                position: r.u32()?,
-                outputs: r.mix_entries()?,
-                proof: r.dleq()?,
-            },
             TAG_HOP_FAILURE => {
                 let round = r.u64()?;
                 let position = r.u32()?;
@@ -1431,13 +1308,6 @@ impl Frame {
                     failed,
                 }
             }
-            TAG_VERIFY_HOP => Frame::VerifyHop {
-                round: r.u64()?,
-                position: r.u32()?,
-                inputs: r.mix_entries()?,
-                outputs: r.mix_entries()?,
-                proof: r.dleq()?,
-            },
             TAG_VERIFY_RESULT => Frame::VerifyResult {
                 ok: match r.u8()? {
                     0 => false,
@@ -1468,14 +1338,6 @@ impl Frame {
                 proof: r.dleq()?,
             },
             TAG_VERIFY_HOP_KEYS => Frame::VerifyHopKeys {
-                round: r.u64()?,
-                position: r.u32()?,
-                input_dhs: r.groups()?,
-                output_dhs: r.groups()?,
-                proof: r.dleq()?,
-            },
-            TAG_MIX_FORWARD => Frame::MixForward { round: r.u64()? },
-            TAG_HOP_FORWARDED => Frame::HopForwarded {
                 round: r.u64()?,
                 position: r.u32()?,
                 input_dhs: r.groups()?,
@@ -1612,10 +1474,7 @@ impl Frame {
             Frame::BatchDigest { .. } => TAG_BATCH_DIGEST,
             Frame::GetBatch { .. } => TAG_GET_BATCH,
             Frame::SubmissionBatch { .. } => TAG_SUBMISSION_BATCH,
-            Frame::MixBatch { .. } => TAG_MIX_BATCH,
-            Frame::HopOutput { .. } => TAG_HOP_OUTPUT,
             Frame::HopFailure { .. } => TAG_HOP_FAILURE,
-            Frame::VerifyHop { .. } => TAG_VERIFY_HOP,
             Frame::VerifyResult { .. } => TAG_VERIFY_RESULT,
             Frame::MixBatchStart { .. } => TAG_MIX_BATCH_START,
             Frame::MixBatchChunk { .. } => TAG_MIX_BATCH_CHUNK,
@@ -1624,8 +1483,6 @@ impl Frame {
             Frame::HopOutputChunk { .. } => TAG_HOP_OUTPUT_CHUNK,
             Frame::HopOutputEnd { .. } => TAG_HOP_OUTPUT_END,
             Frame::VerifyHopKeys { .. } => TAG_VERIFY_HOP_KEYS,
-            Frame::MixForward { .. } => TAG_MIX_FORWARD,
-            Frame::HopForwarded { .. } => TAG_HOP_FORWARDED,
             Frame::RevealInnerKey { .. } => TAG_REVEAL_INNER_KEY,
             Frame::InnerKeyReveal { .. } => TAG_INNER_KEY_REVEAL,
             Frame::PrepareRotation { .. } => TAG_PREPARE_ROTATION,
@@ -1663,10 +1520,7 @@ impl Frame {
             TAG_BATCH_DIGEST => "BatchDigest",
             TAG_GET_BATCH => "GetBatch",
             TAG_SUBMISSION_BATCH => "SubmissionBatch",
-            TAG_MIX_BATCH => "MixBatch",
-            TAG_HOP_OUTPUT => "HopOutput",
             TAG_HOP_FAILURE => "HopFailure",
-            TAG_VERIFY_HOP => "VerifyHop",
             TAG_VERIFY_RESULT => "VerifyResult",
             TAG_MIX_BATCH_START => "MixBatchStart",
             TAG_MIX_BATCH_CHUNK => "MixBatchChunk",
@@ -1675,8 +1529,6 @@ impl Frame {
             TAG_HOP_OUTPUT_CHUNK => "HopOutputChunk",
             TAG_HOP_OUTPUT_END => "HopOutputEnd",
             TAG_VERIFY_HOP_KEYS => "VerifyHopKeys",
-            TAG_MIX_FORWARD => "MixForward",
-            TAG_HOP_FORWARDED => "HopForwarded",
             TAG_REVEAL_INNER_KEY => "RevealInnerKey",
             TAG_INNER_KEY_REVEAL => "InnerKeyReveal",
             TAG_PREPARE_ROTATION => "PrepareRotation",
@@ -1896,8 +1748,8 @@ impl std::error::Error for StreamError {}
 ///
 /// Building encodes each entry exactly once and derives the digest
 /// from the already-encoded chunk payloads, so streaming costs the
-/// sender no more encoding work than one monolithic
-/// [`Frame::MixBatch`] would.
+/// sender no more encoding work than one monolithic batch frame
+/// would.
 ///
 /// ```
 /// use xrd_net::codec::{ChunkedBatch, BatchAssembler, Frame};

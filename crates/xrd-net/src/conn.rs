@@ -11,7 +11,7 @@
 //! buffers (small frames like `Submit`/`Ok`: the storm driver in
 //! [`crate::swarm`] pipelines a thousand connections this way).  Do
 //! not pipeline behind a request with a large response (`GetBatch`,
-//! `MixBatch`): the daemon stops reading until that response drains,
+//! `StatsRequest`): the daemon stops reading until that response drains,
 //! and a client still blocked in `send` never reaches `recv` — both
 //! sides would wait on full buffers forever.
 //!

@@ -8,9 +8,10 @@
 //!    clients submit (to *all* servers of the chain, per the paper's
 //!    input-agreement step), close it, and check that every server
 //!    fixed the same canonical batch (digest comparison, §6.3);
-//! 2. **k hops** — each server mixes in turn; every *other* server
-//!    verifies the hop's aggregate attestation before the pipeline
-//!    advances (cross-server proof verification over the wire);
+//! 2. **k hops** — each server mixes in turn, the batch flowing hop to
+//!    hop as a chunk stream; at the end of the chain every *other*
+//!    server verifies each hop's aggregate attestation (cross-server
+//!    proof verification over the wire);
 //! 3. **blame** (§6.4, only on decryption failure) — fetch the
 //!    accusation, trace reveals upstream server by server, convict the
 //!    user or server, and restart the hops with convicted users
@@ -24,8 +25,8 @@
 //!
 //! # Streamed hops
 //!
-//! Large batches are shipped as *chunk streams* ([`Transport`]): the
-//! coordinator cuts the hop-0 batch into `MixBatchChunk`s, and as each
+//! Every batch is shipped as a *chunk stream* of [`STREAM_CHUNK`]-entry
+//! frames: the coordinator cuts the hop-0 batch into `MixBatchChunk`s, and as each
 //! hop's output chunks come back it forwards them to the next hop
 //! **verbatim** (a one-byte tag rewrite, no re-encode) before the
 //! producing hop has finished emitting — the chain becomes a pipeline
@@ -34,8 +35,9 @@
 //! the chain (they would otherwise re-serialize the pipeline) and ship
 //! only the DH-key columns ([`Frame::VerifyHopKeys`]); nothing is
 //! revealed or delivered until every hop has verified, so the security
-//! outcome is unchanged — inner keys stay sealed unless the whole
-//! chain checks out, exactly as in the whole-batch path.
+//! outcome is that of per-hop verification — inner keys stay sealed
+//! unless the whole chain checks out.  A batch smaller than one chunk
+//! is simply a one-chunk stream.
 
 use std::collections::HashSet;
 use std::net::SocketAddr;
@@ -118,7 +120,7 @@ struct CoordMetrics {
     disputes_convicted: &'static xrd_obs::Counter,
     /// Input-agreement digests that dissented from the majority.
     digest_dissent: &'static xrd_obs::Counter,
-    /// Whole mix passes retried after a transport failure.
+    /// Mix passes restarted from hop 0 after a transport failure.
     mix_retries: &'static xrd_obs::Counter,
     /// Daemon connections re-dialed after a transport failure.
     reconnects: &'static xrd_obs::Counter,
@@ -154,51 +156,12 @@ pub(crate) fn request_retry(
     }
 }
 
-/// How the coordinator ships batches hop to hop.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Transport {
-    /// Stream batches of at least [`Transport::AUTO_STREAM_MIN`]
-    /// entries, ship smaller ones whole (the default).
-    Auto,
-    /// Always one monolithic [`Frame::MixBatch`] per hop, with
-    /// per-hop cross-server verification — the pre-streaming wire
-    /// behavior, kept for small batches and backward compatibility.
-    Whole,
-    /// Always stream, in chunks of the given entry count (clamped to
-    /// ≥ 1; [`STREAM_CHUNK`] is the tuned default).
-    Streamed {
-        /// Entries per [`Frame::MixBatchChunk`].
-        chunk: usize,
-    },
-    /// Daemon-to-daemon forwarding: the coordinator streams the batch
-    /// to hop 0 only, and each hop pushes its output straight to its
-    /// successor (configured at daemon spawn, typically from the
-    /// deployment manifest).  The coordinator receives one keys-only
-    /// [`Frame::HopForwarded`] attestation per intermediate hop and
-    /// the final hop's full output stream — intermediate batches never
-    /// cross the coordinator's wire at all.  Requires daemons spawned
-    /// with successors; a failed pass falls back to
-    /// [`Transport::Streamed`] on retry.
-    Forwarded {
-        /// Entries per [`Frame::MixBatchChunk`] on the hop-0 leg.
-        chunk: usize,
-    },
-}
-
-impl Transport {
-    /// Smallest batch [`Transport::Auto`] streams: below two chunks
-    /// there is no pipeline to overlap, and the whole-batch path has
-    /// one fewer round trip.
-    pub const AUTO_STREAM_MIN: usize = 2 * STREAM_CHUNK;
-}
-
 /// Coordinator-side handle for one chain: persistent connections to its
 /// `k` mix daemons plus the active/pending key bundles.
 pub struct ChainClient {
     conns: Vec<Conn>,
     public: ChainPublicKeys,
     pending: Option<ChainPublicKeys>,
-    transport: Transport,
     retry: RetryPolicy,
     /// Positions convicted by the dispute/blame machinery since the
     /// last [`ChainClient::take_round_verdicts`].
@@ -308,7 +271,6 @@ impl ChainClient {
             conns,
             public,
             pending: None,
-            transport: Transport::Auto,
             retry,
             convicted: Vec::new(),
             suspected: Vec::new(),
@@ -339,12 +301,6 @@ impl ChainClient {
             conn.reconnect()?;
         }
         Ok(())
-    }
-
-    /// Select how this chain ships batches hop to hop (default
-    /// [`Transport::Auto`]).
-    pub fn set_transport(&mut self, transport: Transport) {
-        self.transport = transport;
     }
 
     /// Chain length `k`.
@@ -470,8 +426,8 @@ impl ChainClient {
 
     /// Drive the mixing/blame/reveal phases for an agreed batch and
     /// return the outcome (delivered messages still need mailbox
-    /// delivery, which is deployment-level).  Ships batches per the
-    /// configured [`Transport`].
+    /// delivery, which is deployment-level).  Ships every batch as a
+    /// chunk stream.
     ///
     /// The coordinator's own end-of-chain audit runs here as one
     /// batched DLEQ verification over this chain's `k` proofs.  A
@@ -505,48 +461,16 @@ impl ChainClient {
         submissions: &[Submission],
     ) -> Result<MixPhase, NetError> {
         let mut attempt = 0;
-        let mut transport = self.transport;
         loop {
-            let forwarded = matches!(transport, Transport::Forwarded { .. });
-            let result = match transport {
-                Transport::Whole => self.mix_round_whole(round, submissions),
-                Transport::Streamed { chunk } => self.mix_round_streamed(round, submissions, chunk),
-                Transport::Forwarded { chunk } => {
-                    self.mix_round_forwarded(round, submissions, chunk)
-                }
-                Transport::Auto => {
-                    if submissions.len() >= Transport::AUTO_STREAM_MIN {
-                        self.mix_round_streamed(round, submissions, STREAM_CHUNK)
-                    } else {
-                        self.mix_round_whole(round, submissions)
-                    }
-                }
-            };
-            match result {
-                // Forwarded-mode failures always downgrade: whatever
-                // broke (a dead successor link, a decrypt failure the
-                // blame machinery must localize), the relayed pipeline
-                // can handle it — per-hop errors reach the coordinator
-                // directly there instead of cascading through daemons.
-                Err(e) if (e.retryable() || forwarded) && attempt + 1 < self.retry.attempts => {
+            match self.mix_round_streamed(round, submissions) {
+                Err(e) if e.retryable() && attempt + 1 < self.retry.attempts => {
                     attempt += 1;
                     coord_metrics().mix_retries.incr();
-                    if forwarded {
-                        transport = Transport::Streamed {
-                            chunk: STREAM_CHUNK,
-                        };
-                        xrd_obs::info!(
-                            "round {round}: forwarded mix pass failed ({e}), \
-                             falling back to relayed streaming for attempt {}",
-                            attempt + 1
-                        );
-                    } else {
-                        xrd_obs::info!(
-                            "round {round}: mix pass failed on transport ({e}), \
-                             reconnecting for attempt {}",
-                            attempt + 1
-                        );
-                    }
+                    xrd_obs::info!(
+                        "round {round}: mix pass failed on transport ({e}), \
+                         reconnecting for attempt {}",
+                        attempt + 1
+                    );
                     self.retry.sleep(attempt);
                     // A fresh pass needs fresh connections: streamed
                     // sessions and in-flight responses on the old ones
@@ -572,208 +496,6 @@ impl ChainClient {
         }
     }
 
-    /// [`ChainClient::mix_round`] over monolithic [`Frame::MixBatch`]s
-    /// with per-hop cross-server verification — each hop is fully
-    /// transferred, fully computed, fully verified before the next
-    /// begins.
-    fn mix_round_whole(
-        &mut self,
-        round: u64,
-        submissions: &[Submission],
-    ) -> Result<MixPhase, NetError> {
-        let k = self.conns.len();
-        let mut stats = ChainRoundStats::default();
-        let mut malicious_users: Vec<usize> = Vec::new();
-        let mut misbehaving_servers: Vec<usize> = Vec::new();
-        let mut active: Vec<usize> = (0..submissions.len()).collect();
-
-        // Per-hop (inputs, outputs, proof) records of the final clean
-        // pass, for the coordinator's own batched end-of-chain audit.
-        let mut hop_audit: Vec<(usize, Vec<MixEntry>, Vec<MixEntry>, DleqProof)> = Vec::new();
-
-        // Mixing with blame-retry: repeat until a clean pass (§6.4).
-        let final_entries: Vec<MixEntry> = 'retry: loop {
-            hop_audit.clear();
-            let mut entries: Vec<MixEntry> =
-                active.iter().map(|&i| submissions[i].to_entry()).collect();
-            for pos in 0..k {
-                let _span = xrd_obs::span_timer(format!("coord.hop{pos}"), round);
-                let inputs = entries.clone();
-                let response = self.conns[pos].request(&Frame::MixBatch {
-                    round,
-                    entries: entries.clone(),
-                })?;
-                match response {
-                    Frame::HopOutput {
-                        round: r,
-                        position,
-                        outputs,
-                        proof,
-                    } => {
-                        if r != round || position as usize != pos {
-                            return Err(NetError::Protocol(
-                                "hop output for wrong round/position".into(),
-                            ));
-                        }
-                        stats.proofs_generated += 1;
-                        // Every other server verifies the attestation,
-                        // concurrently (they are independent machines).
-                        // Verifiers already convicted of lying are out.
-                        let excluded = self.excluded.clone();
-                        let verdicts: Vec<(usize, Result<Frame, NetError>)> =
-                            std::thread::scope(|scope| {
-                                let handles: Vec<_> = self
-                                    .conns
-                                    .iter_mut()
-                                    .enumerate()
-                                    .filter(|(verifier, _)| {
-                                        *verifier != pos && !excluded.contains(verifier)
-                                    })
-                                    .map(|(verifier, conn)| {
-                                        let request = Frame::VerifyHop {
-                                            round,
-                                            position: pos as u32,
-                                            inputs: inputs.clone(),
-                                            outputs: outputs.clone(),
-                                            proof,
-                                        };
-                                        scope.spawn(move || (verifier, conn.request(&request)))
-                                    })
-                                    .collect();
-                                handles
-                                    .into_iter()
-                                    .map(|h| h.join().expect("verifier thread panicked"))
-                                    .collect()
-                            });
-                        let mut rejecting: Vec<usize> = Vec::new();
-                        for (verifier, verdict) in verdicts {
-                            stats.proofs_verified += 1;
-                            match verdict? {
-                                Frame::VerifyResult { ok: true } => {}
-                                Frame::VerifyResult { ok: false } => rejecting.push(verifier),
-                                other => {
-                                    return Err(NetError::Protocol(format!(
-                                        "expected VerifyResult, got {other:?}"
-                                    )))
-                                }
-                            }
-                        }
-                        if !rejecting.is_empty() {
-                            // A rejection over the wire could be a bad
-                            // proof *or* a lying verifier.  Instead of
-                            // aborting, run the dispute protocol to
-                            // convict the right party.
-                            let input_dhs: Vec<GroupElement> =
-                                inputs.iter().map(|e| e.dh).collect();
-                            let output_dhs: Vec<GroupElement> =
-                                outputs.iter().map(|e| e.dh).collect();
-                            let outcome =
-                                self.run_dispute(round, pos, &input_dhs, &output_dhs, &proof);
-                            if outcome.proof_invalid {
-                                self.announce_verdict(
-                                    round,
-                                    pos,
-                                    dispute_claim::BAD_PROOF,
-                                    true,
-                                    outcome.votes_upheld,
-                                );
-                                self.convicted.push(pos);
-                                misbehaving_servers.push(pos);
-                                return Ok(MixPhase::Done(ChainRoundOutcome {
-                                    delivered: Vec::new(),
-                                    malicious_users,
-                                    misbehaving_servers,
-                                    stats,
-                                }));
-                            }
-                            // The proof holds: a rejecting verifier that
-                            // *signed* an upholding affidavit committed
-                            // perjury — convict and exclude it; one that
-                            // recanted under oath is forgiven (its
-                            // rejection is attributed to transport).
-                            // Either way the hop stands and the round
-                            // continues.
-                            for verifier in rejecting {
-                                if !outcome.upholders.contains(&verifier) {
-                                    xrd_obs::info!(
-                                        "round {round}: verifier {verifier} rejected hop {pos} \
-                                         but did not uphold under oath; no conviction"
-                                    );
-                                    continue;
-                                }
-                                if !self.excluded.insert(verifier) {
-                                    continue;
-                                }
-                                xrd_obs::info!(
-                                    "round {round}: verifier {verifier} rejected a valid \
-                                     attestation for hop {pos}; convicted and excluded"
-                                );
-                                self.announce_verdict(
-                                    round,
-                                    verifier,
-                                    dispute_claim::FALSE_VERDICT,
-                                    true,
-                                    outcome.votes_cast - outcome.votes_upheld,
-                                );
-                                self.convicted.push(verifier);
-                                misbehaving_servers.push(verifier);
-                            }
-                        }
-                        hop_audit.push((pos, inputs, outputs.clone(), proof));
-                        entries = outputs;
-                    }
-                    Frame::HopFailure {
-                        round: r,
-                        position,
-                        failed,
-                    } => {
-                        if r != round || position as usize != pos {
-                            return Err(NetError::Protocol(
-                                "hop failure for wrong round/position".into(),
-                            ));
-                        }
-                        match self.resolve_hop_failure(
-                            round,
-                            pos,
-                            failed,
-                            submissions,
-                            &mut active,
-                            &mut malicious_users,
-                            &mut misbehaving_servers,
-                            &mut stats,
-                        )? {
-                            // A malicious server: halt with nothing
-                            // delivered (§6.4).
-                            FailureVerdict::Abort => {
-                                return Ok(MixPhase::Done(ChainRoundOutcome {
-                                    delivered: Vec::new(),
-                                    malicious_users,
-                                    misbehaving_servers,
-                                    stats,
-                                }))
-                            }
-                            FailureVerdict::Retry => continue 'retry,
-                        }
-                    }
-                    other => {
-                        return Err(NetError::Protocol(format!(
-                            "expected HopOutput/HopFailure, got {other:?}"
-                        )))
-                    }
-                }
-            }
-            break entries;
-        };
-
-        Ok(MixPhase::AwaitingAudit(PendingChainRound {
-            hop_audit,
-            final_entries,
-            malicious_users,
-            misbehaving_servers,
-            stats,
-        }))
-    }
-
     /// [`ChainClient::mix_round`] as a chunked pipeline: hop `i+1`
     /// receives (and starts decrypting) hop `i`'s output chunks while
     /// hop `i` is still emitting later ones.  Output chunks are
@@ -786,7 +508,6 @@ impl ChainClient {
         &mut self,
         round: u64,
         submissions: &[Submission],
-        chunk: usize,
     ) -> Result<MixPhase, NetError> {
         let k = self.conns.len();
         let mut stats = ChainRoundStats::default();
@@ -802,7 +523,7 @@ impl ChainClient {
                 active.iter().map(|&i| submissions[i].to_entry()).collect();
 
             // Open the pipeline: hop 0's request stream, encoded once.
-            let stream = ChunkedBatch::build(round, &entries, chunk);
+            let stream = ChunkedBatch::build(round, &entries, STREAM_CHUNK);
             for bytes in stream.frames() {
                 self.conns[0].send_encoded(bytes)?;
             }
@@ -1027,307 +748,6 @@ impl ChainClient {
             misbehaving_servers,
             stats,
         }))
-    }
-
-    /// [`ChainClient::mix_round`] with daemon-to-daemon forwarding:
-    /// the coordinator streams the agreed batch to hop 0 once, each
-    /// hop pushes its output straight to its successor, and only
-    /// keys-only [`Frame::HopForwarded`] attestations plus the final
-    /// mixed batch come back — intermediate ciphertext batches never
-    /// cross the coordinator's wire.
-    ///
-    /// The chain is audited from DH-key columns alone: the §6.3
-    /// statement a hop proves involves only its input/output key
-    /// columns against the bundle's blinding bases, never the
-    /// ciphertexts, so the attested columns — stitched end to end by
-    /// continuity checks against the agreed batch and the final
-    /// stream — carry exactly the information every verification
-    /// needs.  The coordinator checks each hop locally, broadcasts the
-    /// columns for cross-server verification, and reveals inner keys
-    /// only after every check passes, the same bar as the relayed
-    /// paths.
-    ///
-    /// Blame needs full batches, so any failure here (a dead
-    /// successor link, a decrypt failure cascading up as an error, a
-    /// column seam mismatch) surfaces as an error for
-    /// [`ChainClient::mix_round_deferred`] to retry over relayed
-    /// streaming, where per-hop machinery has everything it needs.
-    fn mix_round_forwarded(
-        &mut self,
-        round: u64,
-        submissions: &[Submission],
-        chunk: usize,
-    ) -> Result<MixPhase, NetError> {
-        let k = self.conns.len();
-        let mut stats = ChainRoundStats::default();
-        let mut misbehaving_servers: Vec<usize> = Vec::new();
-        let entries: Vec<MixEntry> = submissions.iter().map(|s| s.to_entry()).collect();
-
-        // Mark the round forwarded on every hop; each daemon records
-        // this very connection as the round's report channel.
-        for conn in &mut self.conns {
-            match conn.request(&Frame::MixForward { round })? {
-                Frame::Ok => {}
-                Frame::Error { code, message } => return Err(NetError::Remote { code, message }),
-                other => {
-                    return Err(NetError::Protocol(format!(
-                        "expected Ok for MixForward, got {other:?}"
-                    )))
-                }
-            }
-        }
-
-        // Stream the agreed batch to hop 0 — the only batch transfer
-        // the coordinator performs in this mode.
-        let stream = ChunkedBatch::build(round, &entries, chunk);
-        for bytes in stream.frames() {
-            self.conns[0].send_encoded(bytes)?;
-        }
-
-        // Collect attestations.  Hops `0..k-1` each deliver one
-        // `HopForwarded` on their own connection — hop 0's doubles as
-        // the ack that the entire downstream cascade landed, since
-        // every hop's forward blocks on its successor's ack.
-        let mut columns: Vec<(Vec<GroupElement>, Vec<GroupElement>, DleqProof)> =
-            Vec::with_capacity(k);
-        for pos in 0..k.saturating_sub(1) {
-            let _span = xrd_obs::span_timer(format!("coord.hop{pos}"), round);
-            match self.conns[pos].recv()? {
-                Frame::HopForwarded {
-                    round: r,
-                    position,
-                    input_dhs,
-                    output_dhs,
-                    proof,
-                } if r == round && position as usize == pos => {
-                    if input_dhs.len() != output_dhs.len() {
-                        return Err(NetError::Protocol(format!(
-                            "hop {pos} attested mismatched column lengths"
-                        )));
-                    }
-                    stats.proofs_generated += 1;
-                    columns.push((input_dhs, output_dhs, proof));
-                }
-                Frame::Error { code, message } => return Err(NetError::Remote { code, message }),
-                other => {
-                    return Err(NetError::Protocol(format!(
-                        "expected HopForwarded from hop {pos}, got {other:?}"
-                    )))
-                }
-            }
-        }
-
-        // The last hop pushes its full output stream; its End frame
-        // carries the chain-final attestation.
-        let last = k - 1;
-        let final_entries: Vec<MixEntry>;
-        let last_proof: DleqProof;
-        {
-            let _span = xrd_obs::span_timer(format!("coord.hop{last}"), round);
-            let total = match self.conns[last].recv()? {
-                Frame::HopOutputStart {
-                    round: r,
-                    position,
-                    total,
-                } if r == round && position as usize == last => total,
-                Frame::Error { code, message } => return Err(NetError::Remote { code, message }),
-                other => {
-                    return Err(NetError::Protocol(format!(
-                        "expected HopOutputStart from hop {last}, got {other:?}"
-                    )))
-                }
-            };
-            if total as usize != entries.len() {
-                return Err(NetError::Protocol(format!(
-                    "chain answered {total} entries to a {}-entry batch",
-                    entries.len()
-                )));
-            }
-            let mut assembler = BatchAssembler::begin(round, total)
-                .map_err(|e| NetError::Protocol(format!("hop {last}: {e}")))?;
-            loop {
-                match self.conns[last].recv()? {
-                    Frame::HopOutputChunk { entries } => {
-                        assembler
-                            .absorb(entries)
-                            .map_err(|e| NetError::Protocol(format!("hop {last}: {e}")))?;
-                    }
-                    Frame::HopOutputEnd { digest, proof } => {
-                        final_entries = assembler
-                            .finish(digest)
-                            .map_err(|e| NetError::Protocol(format!("hop {last}: {e}")))?;
-                        last_proof = proof;
-                        break;
-                    }
-                    Frame::Error { code, message } => {
-                        return Err(NetError::Remote { code, message })
-                    }
-                    other => {
-                        return Err(NetError::Protocol(format!(
-                            "expected HopOutputChunk/End, got {other:?}"
-                        )))
-                    }
-                }
-            }
-        }
-        stats.proofs_generated += 1;
-
-        // Stitch the columns end to end: hop 0 must have consumed the
-        // agreed batch, and every seam must match — a mismatch means
-        // some daemon mixed a batch other than the one its predecessor
-        // emitted, which column auditing cannot localize; fail the
-        // pass and let the relayed retry sort it out.
-        let input_col: Vec<GroupElement> = entries.iter().map(|e| e.dh).collect();
-        let final_col: Vec<GroupElement> = final_entries.iter().map(|e| e.dh).collect();
-        let last_inputs = columns
-            .last()
-            .map(|(_, outputs, _)| outputs.clone())
-            .unwrap_or_else(|| input_col.clone());
-        columns.push((last_inputs, final_col, last_proof));
-        if columns[0].0 != input_col {
-            return Err(NetError::Protocol(
-                "hop 0 attested a different batch than the chain agreed on".into(),
-            ));
-        }
-        for pos in 1..k {
-            if columns[pos].0 != columns[pos - 1].1 {
-                return Err(NetError::Protocol(format!(
-                    "column seam mismatch between hops {} and {pos}",
-                    pos - 1
-                )));
-            }
-        }
-
-        // The coordinator's own audit, per hop over the key columns.
-        // A refuted attestation goes through the dispute protocol so
-        // the conviction rests on gossiped, signed evidence.
-        let _span = xrd_obs::span_timer("coord.verify_chain", round);
-        for (pos, column) in columns.iter().enumerate().take(k) {
-            let (input_dhs, output_dhs, proof) = column.clone();
-            stats.proofs_verified += 1;
-            if !verify_hop_keys(
-                &self.public,
-                pos,
-                round,
-                input_dhs.iter(),
-                output_dhs.iter(),
-                &proof,
-            ) {
-                let outcome = self.run_dispute(round, pos, &input_dhs, &output_dhs, &proof);
-                self.announce_verdict(
-                    round,
-                    pos,
-                    dispute_claim::BAD_PROOF,
-                    true,
-                    outcome.votes_upheld,
-                );
-                self.convicted.push(pos);
-                misbehaving_servers.push(pos);
-                return Ok(MixPhase::Done(ChainRoundOutcome {
-                    delivered: Vec::new(),
-                    malicious_users: Vec::new(),
-                    misbehaving_servers,
-                    stats,
-                }));
-            }
-        }
-
-        // Cross-server verification over the same columns, pipelined
-        // like the streamed path's end-of-chain audit.
-        let excluded = self.excluded.clone();
-        let mut expected: Vec<(usize, usize)> = Vec::new(); // (verifier, prover)
-        for (pos, (input_dhs, output_dhs, proof)) in columns.iter().enumerate() {
-            let wire = Frame::VerifyHopKeys {
-                round,
-                position: pos as u32,
-                input_dhs: input_dhs.clone(),
-                output_dhs: output_dhs.clone(),
-                proof: *proof,
-            }
-            .encode();
-            for (verifier, conn) in self.conns.iter_mut().enumerate() {
-                if verifier != pos && !excluded.contains(&verifier) {
-                    conn.send_encoded(&wire)?;
-                    expected.push((verifier, pos));
-                }
-            }
-        }
-        let mut rejections: Vec<(usize, usize)> = Vec::new(); // (prover, verifier)
-        for (verifier, prover) in expected {
-            stats.proofs_verified += 1;
-            match self.conns[verifier].recv()? {
-                Frame::VerifyResult { ok: true } => {}
-                Frame::VerifyResult { ok: false } => rejections.push((prover, verifier)),
-                Frame::Error { code, message } => return Err(NetError::Remote { code, message }),
-                other => {
-                    return Err(NetError::Protocol(format!(
-                        "expected VerifyResult, got {other:?}"
-                    )))
-                }
-            }
-        }
-        let mut disputed_provers: Vec<usize> = rejections.iter().map(|&(p, _)| p).collect();
-        disputed_provers.sort_unstable();
-        disputed_provers.dedup();
-        for prover in disputed_provers {
-            let (input_dhs, output_dhs, proof) = columns[prover].clone();
-            let outcome = self.run_dispute(round, prover, &input_dhs, &output_dhs, &proof);
-            if outcome.proof_invalid {
-                self.announce_verdict(
-                    round,
-                    prover,
-                    dispute_claim::BAD_PROOF,
-                    true,
-                    outcome.votes_upheld,
-                );
-                self.convicted.push(prover);
-                misbehaving_servers.push(prover);
-                return Ok(MixPhase::Done(ChainRoundOutcome {
-                    delivered: Vec::new(),
-                    malicious_users: Vec::new(),
-                    misbehaving_servers,
-                    stats,
-                }));
-            }
-            for &(_, verifier) in rejections.iter().filter(|&&(p, _)| p == prover) {
-                if !outcome.upholders.contains(&verifier) {
-                    xrd_obs::info!(
-                        "round {round}: verifier {verifier} rejected hop {prover} \
-                         but did not uphold under oath; no conviction"
-                    );
-                    continue;
-                }
-                if !self.excluded.insert(verifier) {
-                    continue;
-                }
-                xrd_obs::info!(
-                    "round {round}: verifier {verifier} rejected a valid attestation \
-                     for hop {prover}; convicted and excluded"
-                );
-                self.announce_verdict(
-                    round,
-                    verifier,
-                    dispute_claim::FALSE_VERDICT,
-                    true,
-                    outcome.votes_cast - outcome.votes_upheld,
-                );
-                self.convicted.push(verifier);
-                misbehaving_servers.push(verifier);
-            }
-        }
-
-        // Audited locally and cross-server: go straight to the reveal
-        // (the empty audit record makes `conclude_audited` skip the
-        // re-check and reveal immediately).
-        let pending = PendingChainRound {
-            hop_audit: Vec::new(),
-            final_entries,
-            malicious_users: Vec::new(),
-            misbehaving_servers,
-            stats,
-        };
-        self.conclude_audited(round, pending, true)
-            .map(MixPhase::Done)
     }
 
     /// Resolve one hop's decrypt failures through the blame protocol:

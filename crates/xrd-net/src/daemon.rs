@@ -17,8 +17,8 @@
 //! thousands of concurrent submitter connections at a constant thread
 //! count.
 //!
-//! Batch-boundary crypto never runs on the reactor thread: `MixBatch`
-//! hops, streamed `MixBatchStart/Chunk/End` sessions and `VerifyHop`
+//! Batch-boundary crypto never runs on the reactor thread: streamed
+//! `MixBatchStart/Chunk/End` hop sessions and `VerifyHopKeys`
 //! attestation checks are **deferred** to the reactor's small
 //! fixed-size worker pool (the connection's pending response slot
 //! holds its place), so the event loop keeps accepting and verifying
@@ -49,10 +49,9 @@ use xrd_core::Journal;
 
 use crate::codec::{
     decode_server_config, dispute_context, encode_hop_output_stream, encode_server_config,
-    error_code, ChunkedBatch, Frame, StreamDigest, StreamError, STREAM_CHUNK,
+    error_code, Frame, FrameDecoder, StreamDigest, StreamError, STREAM_CHUNK,
 };
-use crate::conn::{Conn, NetError};
-use crate::reactor::{service_fn, ConnId, Outcome, Reactor, ReactorHandle, Service, WorkerPool};
+use crate::reactor::{service_fn, ConnId, Outcome, Reactor, Service, WorkerPool};
 
 // ---------------------------------------------------------------------
 // Generic daemon plumbing
@@ -133,8 +132,7 @@ struct HopJobMetrics {
     /// jobs to land (tail of the decrypt/blind phase still in flight
     /// when the End frame arrived).
     wait_chunks_us: &'static xrd_obs::Histogram,
-    /// Output-encoding latency per completed hop (chunked stream or
-    /// monolithic frame).
+    /// Output-encoding latency per completed hop.
     encode_us: &'static xrd_obs::Histogram,
 }
 
@@ -175,10 +173,9 @@ pub struct SubmissionPolicy {
 impl Default for SubmissionPolicy {
     fn default() -> SubmissionPolicy {
         SubmissionPolicy {
-            // Deployments fan many users' submissions through few
-            // connections (the coordinator's submit workers), so the
-            // per-connection cap is generous; the window cap is the
-            // codec's batch bound.
+            // Test drivers and probes push many users' submissions
+            // through one connection, so the per-connection cap is
+            // generous; the window cap is the codec's batch bound.
             max_per_conn: 4096,
             max_pending: crate::codec::MAX_BATCH,
         }
@@ -227,12 +224,6 @@ struct MixState {
     /// Dispute verdicts gossiped to this server: `(round, accused,
     /// claim)` triples, retained for operator inspection.
     verdicts: Vec<(u64, u32, u8)>,
-    /// Rounds the coordinator marked for daemon-to-daemon forwarding
-    /// ([`Frame::MixForward`]), mapped to the *report* connection —
-    /// the coordinator's own connection, where this hop's
-    /// [`Frame::HopForwarded`] attestation (or, for the last hop, the
-    /// full output stream) is pushed.
-    forward_reports: HashMap<u64, ConnId>,
     /// Daemon-local randomness (shuffles, proofs).
     rng: StdRng,
     /// Durable control state (rotation epoch + shares, open window):
@@ -311,160 +302,6 @@ impl ChunkWork {
         }
         (inputs, slots)
     }
-}
-
-/// Forwarding metric handles, resolved once per process.
-fn forward_metrics() -> &'static ForwardMetrics {
-    static METRICS: std::sync::OnceLock<ForwardMetrics> = std::sync::OnceLock::new();
-    METRICS.get_or_init(|| ForwardMetrics {
-        batches: xrd_obs::counter("forward.batches"),
-        failures: xrd_obs::counter("forward.failures"),
-    })
-}
-
-struct ForwardMetrics {
-    /// Output batches streamed straight to the next hop.
-    batches: &'static xrd_obs::Counter,
-    /// Forward attempts that failed past the reconnect retry (the
-    /// coordinator falls back to relayed streaming).
-    failures: &'static xrd_obs::Counter,
-}
-
-/// Everything a forwarded hop's End job needs to route its output
-/// onward and its attestation back.
-struct ForwardCtx {
-    /// Connection the batch arrived on — the coordinator for hop 0,
-    /// the predecessor daemon otherwise.  The job's reply goes here,
-    /// and the predecessor's own forward blocks on it, so acks (and
-    /// failures) cascade back up the chain.
-    inbound: ConnId,
-    /// The coordinator's connection (where [`Frame::MixForward`]
-    /// arrived); unsolicited attestations are pushed onto it.
-    report: ConnId,
-    /// Next hop of the chain (`None` on the last hop).
-    successor: Option<SocketAddr>,
-    /// Cached blocking link to the successor.
-    link: Arc<Mutex<Option<Conn>>>,
-    /// Push handle onto this daemon's own reactor.
-    handle: Option<ReactorHandle>,
-}
-
-/// Stream `outputs` to the successor as a normal
-/// `MixBatchStart/Chunk/End` round and await its single ack frame —
-/// with one reconnect retry, since the cached link may have idled out
-/// between rounds.  (A restarted stream is safe: a second Start on the
-/// same connection replaces the incomplete session.)
-fn forward_batch(
-    link: &Mutex<Option<Conn>>,
-    successor: SocketAddr,
-    round: u64,
-    outputs: &[MixEntry],
-) -> Result<(), NetError> {
-    let batch = ChunkedBatch::build(round, outputs, STREAM_CHUNK);
-    let mut guard = link.lock().expect("forward link poisoned");
-    for attempt in 0..2 {
-        if guard.is_none() {
-            *guard = match Conn::connect(successor) {
-                Ok(conn) => Some(conn),
-                Err(_) if attempt == 0 => continue,
-                Err(e) => return Err(e),
-            };
-        }
-        let conn = guard.as_mut().expect("link just ensured");
-        let result = (|| {
-            for bytes in batch.frames() {
-                conn.send_encoded(bytes)?;
-            }
-            match conn.recv()? {
-                Frame::Ok => Ok(()),
-                Frame::Error { code, message } => Err(NetError::Remote { code, message }),
-                other => Err(NetError::Protocol(format!(
-                    "expected Ok from next hop, got {other:?}"
-                ))),
-            }
-        })();
-        match result {
-            Ok(()) => return Ok(()),
-            Err(e) if attempt == 0 && e.retryable() => {
-                *guard = None;
-                continue;
-            }
-            Err(e) => {
-                *guard = None;
-                return Err(e);
-            }
-        }
-    }
-    unreachable!("forward_batch loop always returns within two attempts")
-}
-
-/// Route one forwarded hop's completed output.  Non-last hops stream
-/// it straight to the successor and report a keys-only
-/// [`Frame::HopForwarded`] attestation (the §6.3 statement involves
-/// only DH key columns, so the coordinator audits the chain without
-/// ever seeing the intermediate ciphertexts); the last hop pushes the
-/// full output stream back to the coordinator — its attestation rides
-/// in the stream's End frame.  Returns the bytes to reply on the
-/// inbound connection.
-fn forward_hop_output(
-    fwd: &ForwardCtx,
-    round: u64,
-    position: u32,
-    input_dhs: Vec<GroupElement>,
-    outputs: &[MixEntry],
-    proof: DleqProof,
-) -> Vec<u8> {
-    let Some(successor) = fwd.successor else {
-        let bytes = encode_hop_output_stream(round, position, outputs, &proof, STREAM_CHUNK);
-        forward_metrics().batches.incr();
-        if fwd.report == fwd.inbound {
-            // Single-hop chain: the coordinator streamed to us and is
-            // awaiting this very reply.
-            return bytes;
-        }
-        let Some(handle) = &fwd.handle else {
-            forward_metrics().failures.incr();
-            return err(
-                error_code::BAD_STATE,
-                "no reactor handle for forwarded report",
-            )
-            .encode();
-        };
-        handle.push(fwd.report, bytes);
-        return Frame::Ok.encode();
-    };
-    if let Err(e) = forward_batch(&fwd.link, successor, round, outputs) {
-        forward_metrics().failures.incr();
-        return err(
-            error_code::BAD_STATE,
-            format!("forward to next hop {successor} failed: {e}"),
-        )
-        .encode();
-    }
-    forward_metrics().batches.incr();
-    let attestation = Frame::HopForwarded {
-        round,
-        position,
-        input_dhs,
-        output_dhs: outputs.iter().map(|e| e.dh).collect(),
-        proof,
-    };
-    if fwd.report == fwd.inbound {
-        // Hop 0: the coordinator is awaiting our reply — the
-        // attestation *is* the reply, and it doubles as the signal
-        // that the whole downstream cascade acked.
-        return attestation.encode();
-    }
-    let Some(handle) = &fwd.handle else {
-        forward_metrics().failures.incr();
-        return err(
-            error_code::BAD_STATE,
-            "no reactor handle for forwarded report",
-        )
-        .encode();
-    };
-    handle.push(fwd.report, attestation.encode());
-    Frame::Ok.encode()
 }
 
 impl MixState {
@@ -682,30 +519,9 @@ impl MixState {
 /// serve submissions while a hop is in flight.
 struct MixService {
     state: Arc<Mutex<MixState>>,
-    /// Next hop of this daemon's chain, when deployed for
-    /// daemon-to-daemon forwarding (static per process — the manifest
-    /// places chains, so a hop's successor never changes while it
-    /// runs).  `None` on the last hop and in relay-only deployments.
-    successor: Option<SocketAddr>,
-    /// Cached client connection to the successor, used only from
-    /// worker jobs (never the reactor thread).  Reconnected on demand.
-    forward_link: Arc<Mutex<Option<Conn>>>,
-    /// Handle for pushing unsolicited frames (forwarded-mode
-    /// attestations) to the coordinator's connection; installed by the
-    /// reactor at bind time.
-    handle: Mutex<Option<ReactorHandle>>,
 }
 
 impl MixService {
-    fn new(state: Arc<Mutex<MixState>>, successor: Option<SocketAddr>) -> MixService {
-        MixService {
-            state,
-            successor,
-            forward_link: Arc::new(Mutex::new(None)),
-            handle: Mutex::new(None),
-        }
-    }
-
     fn lock(&self) -> std::sync::MutexGuard<'_, MixState> {
         self.state.lock().expect("mix state poisoned")
     }
@@ -783,9 +599,7 @@ impl MixService {
 
     /// `MixBatchEnd`: defer the hop's assembly — the job waits for the
     /// session's chunk jobs, checks the stream digest, shuffles,
-    /// proves, and either streams the output back to the sender or —
-    /// in forwarded mode — pushes it straight to the chain's next hop,
-    /// reporting only the keys-only attestation to the coordinator.
+    /// proves, and streams the output back to the sender.
     fn stream_end(&self, conn: ConnId, digest: [u8; 32]) -> Outcome {
         let Some(session) = self.lock().streams.remove(&conn) else {
             return Outcome::reply(err(error_code::BAD_STATE, "end without MixBatchStart"));
@@ -797,20 +611,6 @@ impl MixService {
             jobs,
             ..
         } = session;
-        // Forwarded round?  Claim the report connection now (on the
-        // reactor thread, under the state lock) so a duplicate End
-        // cannot double-forward.
-        let forward = self
-            .lock()
-            .forward_reports
-            .remove(&kernel.round())
-            .map(|report| ForwardCtx {
-                inbound: conn,
-                report,
-                successor: self.successor,
-                link: Arc::clone(&self.forward_link),
-                handle: self.handle.lock().expect("handle poisoned").clone(),
-            });
         let state = Arc::clone(&self.state);
         Outcome::Defer(Box::new(move || {
             let _span = xrd_obs::span_timer("hop.stream", kernel.round());
@@ -833,13 +633,6 @@ impl MixService {
                 return err(error_code::BAD_STATE, format!("stream rejected: {e}")).encode();
             }
             let round = kernel.round();
-            // Forwarded mode attests over key columns only (§6.3 —
-            // the statement never involves ciphertexts), so the input
-            // DH column is the one thing to save before the batch
-            // moves into `finish_round`.
-            let input_dhs: Option<Vec<GroupElement>> = forward
-                .as_ref()
-                .map(|_| inputs.iter().map(|e| e.dh).collect());
             let mut guard = state.lock().expect("mix state poisoned");
             let st = &mut *guard;
             let position = st.secrets.position as u32;
@@ -848,16 +641,6 @@ impl MixService {
                     // The proof and shuffle are done; release the lock
                     // before the output encoding pass.
                     drop(guard);
-                    if let Some(fwd) = forward {
-                        return forward_hop_output(
-                            &fwd,
-                            round,
-                            position,
-                            input_dhs.unwrap_or_default(),
-                            &result.outputs,
-                            result.proof,
-                        );
-                    }
                     let encoding = std::time::Instant::now();
                     let bytes = encode_hop_output_stream(
                         round,
@@ -866,51 +649,6 @@ impl MixService {
                         &result.proof,
                         STREAM_CHUNK,
                     );
-                    hop_job_metrics()
-                        .encode_us
-                        .record_duration(encoding.elapsed());
-                    bytes
-                }
-                Err(MixError::DecryptFailure(failed)) => Frame::HopFailure {
-                    round,
-                    position,
-                    failed: failed.into_iter().map(|i| i as u64).collect(),
-                }
-                .encode(),
-                Err(MixError::Malformed) => err(error_code::BAD_STATE, "malformed batch").encode(),
-            }
-        }))
-    }
-
-    /// Whole-batch `MixBatch` (kept for small batches and
-    /// backward compatibility): same crypto, same offload, monolithic
-    /// framing.
-    fn defer_mix(&self, round: u64, entries: Vec<MixEntry>) -> Outcome {
-        let state = Arc::clone(&self.state);
-        Outcome::Defer(Box::new(move || {
-            let _span = xrd_obs::span_timer("hop.whole", round);
-            // Heavy part first, without the state lock: the reactor
-            // thread keeps serving submissions off the same state.
-            let kernel = state
-                .lock()
-                .expect("mix state poisoned")
-                .server
-                .chunk_kernel(round);
-            let slots = kernel.process_parallel(&entries);
-            let mut guard = state.lock().expect("mix state poisoned");
-            let st = &mut *guard;
-            let position = st.secrets.position as u32;
-            match st.server.finish_round(&mut st.rng, round, entries, slots) {
-                Ok(result) => {
-                    drop(guard);
-                    let encoding = std::time::Instant::now();
-                    let bytes = Frame::HopOutput {
-                        round,
-                        position,
-                        outputs: result.outputs,
-                        proof: result.proof,
-                    }
-                    .encode();
                     hop_job_metrics()
                         .encode_us
                         .record_duration(encoding.elapsed());
@@ -979,9 +717,8 @@ impl MixService {
         }))
     }
 
-    /// Attestation checks (full-entry or keys-only): pure public-data
-    /// work off a snapshot of the bundle — no state lock held in the
-    /// job at all.
+    /// `VerifyHopKeys`: pure public-data work off a snapshot of the
+    /// bundle — no state lock held in the job at all.
     fn defer_verify(
         &self,
         round: u64,
@@ -1008,44 +745,11 @@ impl MixService {
 }
 
 impl Service for MixService {
-    fn attach(&self, handle: ReactorHandle) {
-        *self.handle.lock().expect("handle poisoned") = Some(handle);
-    }
-
     fn handle(&self, conn: ConnId, frame: Frame, workers: &Arc<WorkerPool>) -> Outcome {
         match frame {
-            Frame::MixForward { round } => {
-                // The coordinator marks the round as forwarded; this
-                // connection becomes the round's report channel for
-                // the hop's attestation (or, last hop, its output).
-                let mut state = self.lock();
-                state.forward_reports.insert(round, conn);
-                // Only the current and previous rounds are live.
-                state.forward_reports.retain(|&r, _| r + 1 >= round);
-                Outcome::reply(Frame::Ok)
-            }
             Frame::MixBatchStart { round, total } => self.stream_start(conn, round, total),
             Frame::MixBatchChunk { entries } => self.stream_chunk(conn, entries, workers),
             Frame::MixBatchEnd { digest } => self.stream_end(conn, digest),
-            Frame::MixBatch { round, entries } => self.defer_mix(round, entries),
-            Frame::VerifyHop {
-                round,
-                position,
-                inputs,
-                outputs,
-                proof,
-            } => {
-                if inputs.len() != outputs.len() {
-                    return Outcome::reply(Frame::VerifyResult { ok: false });
-                }
-                self.defer_verify(
-                    round,
-                    position,
-                    inputs.iter().map(|e| e.dh).collect(),
-                    outputs.iter().map(|e| e.dh).collect(),
-                    proof,
-                )
-            }
             Frame::VerifyHopKeys {
                 round,
                 position,
@@ -1087,8 +791,9 @@ pub enum ByzantineMode {
     /// Corrupt the daemon's input-agreement digest, simulating a
     /// server that equivocates about the batch it fixed.
     EquivocateDigest,
-    /// Tamper with the daemon's own hop output after proving, so its
-    /// emitted key column no longer matches its attestation.
+    /// Tamper with the daemon's own hop output after proving: swap two
+    /// DH keys in the first output chunk, so the emitted key column no
+    /// longer matches its attestation.
     CorruptHop,
 }
 
@@ -1125,15 +830,10 @@ impl ByzantineService {
 }
 
 impl Service for ByzantineService {
-    fn attach(&self, handle: ReactorHandle) {
-        self.inner.attach(handle);
-    }
-
     fn handle(&self, conn: ConnId, frame: Frame, workers: &Arc<WorkerPool>) -> Outcome {
         match (self.mode, &frame) {
             // A framing verifier: every attestation is "invalid".
-            (ByzantineMode::LieVerify, Frame::VerifyHop { .. })
-            | (ByzantineMode::LieVerify, Frame::VerifyHopKeys { .. }) => {
+            (ByzantineMode::LieVerify, Frame::VerifyHopKeys { .. }) => {
                 Self::metrics().incr();
                 Outcome::reply(Frame::VerifyResult { ok: false })
             }
@@ -1172,36 +872,19 @@ impl Service for ByzantineService {
                 }
             }
             // A tampering prover: its emitted key column diverges from
-            // the column it proved over, so every honest verifier
-            // rejects the attestation.
-            (ByzantineMode::CorruptHop, Frame::MixBatch { .. }) => {
+            // the column it proved over, so the next hop's decryption
+            // of the swapped slots fails (blame traces it here) and, on
+            // a last hop, every honest verifier rejects the attestation.
+            (ByzantineMode::CorruptHop, Frame::MixBatchEnd { .. }) => {
                 match self.inner.handle(conn, frame, workers) {
                     Outcome::Defer(job) => Outcome::Defer(Box::new(move || {
                         let bytes = job();
-                        match Frame::decode(bytes.get(4..).unwrap_or_default()) {
-                            Ok(Frame::HopOutput {
-                                round,
-                                position,
-                                mut outputs,
-                                proof,
-                            }) if outputs.len() >= 2 => {
+                        match swap_first_output_keys(&bytes) {
+                            Some(corrupted) => {
                                 Self::metrics().incr();
-                                // Swapping two DH keys (but not their
-                                // ciphertexts) breaks the proven
-                                // input/output correspondence while
-                                // every element still parses.
-                                let dh = outputs[0].dh;
-                                outputs[0].dh = outputs[1].dh;
-                                outputs[1].dh = dh;
-                                Frame::HopOutput {
-                                    round,
-                                    position,
-                                    outputs,
-                                    proof,
-                                }
-                                .encode()
+                                corrupted
                             }
-                            _ => bytes,
+                            None => bytes,
                         }
                     })),
                     other => other,
@@ -1214,6 +897,44 @@ impl Service for ByzantineService {
     fn on_close(&self, conn: ConnId) {
         self.inner.on_close(conn);
     }
+}
+
+/// Swap the DH keys (but not the ciphertexts) of the first two entries
+/// of an encoded hop output stream — both in its first
+/// `HopOutputChunk` — and re-encode it with the honest proof and a
+/// matching stream digest, so every element still parses and only the
+/// proven input/output correspondence breaks.  `None` for anything
+/// that is not an output stream of at least two entries (a
+/// `HopFailure`, an `Error`).
+fn swap_first_output_keys(bytes: &[u8]) -> Option<Vec<u8>> {
+    let mut decoder = FrameDecoder::new();
+    decoder.feed(bytes);
+    let Some(Ok(Frame::HopOutputStart {
+        round, position, ..
+    })) = decoder.try_frame()
+    else {
+        return None;
+    };
+    let mut outputs: Vec<MixEntry> = Vec::new();
+    while let Some(Ok(frame)) = decoder.try_frame() {
+        match frame {
+            Frame::HopOutputChunk { entries } => outputs.extend(entries),
+            Frame::HopOutputEnd { proof, .. } if outputs.len() >= 2 => {
+                let dh = outputs[0].dh;
+                outputs[0].dh = outputs[1].dh;
+                outputs[1].dh = dh;
+                return Some(encode_hop_output_stream(
+                    round,
+                    position,
+                    &outputs,
+                    &proof,
+                    STREAM_CHUNK,
+                ));
+            }
+            _ => return None,
+        }
+    }
+    None
 }
 
 /// A running mix-server daemon for one `(chain, position)`.
@@ -1243,7 +964,6 @@ impl MixServerDaemon {
             policy,
             submitted: HashMap::new(),
             verdicts: Vec::new(),
-            forward_reports: HashMap::new(),
             rng: StdRng::seed_from_u64(rng_seed),
             journal,
         }))
@@ -1314,23 +1034,7 @@ impl MixServerDaemon {
         policy: SubmissionPolicy,
     ) -> std::io::Result<DaemonHandle> {
         let state = Self::state(secrets, public, rng_seed, policy, None);
-        spawn_daemon(addr, Arc::new(MixService::new(state, None)))
-    }
-
-    /// Spawn with a chain successor for daemon-to-daemon forwarding:
-    /// when the coordinator marks a round forwarded
-    /// ([`Frame::MixForward`]), this hop streams its output straight
-    /// to `successor` instead of back to the sender, reporting only
-    /// its keys-only attestation.  Pass `None` on the last hop.
-    pub fn spawn_with_successor<A: ToSocketAddrs>(
-        addr: A,
-        secrets: ServerSecrets,
-        public: ChainPublicKeys,
-        rng_seed: u64,
-        successor: Option<SocketAddr>,
-    ) -> std::io::Result<DaemonHandle> {
-        let state = Self::state(secrets, public, rng_seed, SubmissionPolicy::default(), None);
-        spawn_daemon(addr, Arc::new(MixService::new(state, successor)))
+        spawn_daemon(addr, Arc::new(MixService { state }))
     }
 
     /// Spawn with a durable state journal at `journal` (created if
@@ -1343,7 +1047,6 @@ impl MixServerDaemon {
         secrets: ServerSecrets,
         public: ChainPublicKeys,
         rng_seed: u64,
-        successor: Option<SocketAddr>,
         journal: impl Into<std::path::PathBuf>,
     ) -> std::io::Result<DaemonHandle> {
         let (journal, records) = Journal::open(journal)?;
@@ -1354,7 +1057,7 @@ impl MixServerDaemon {
             SubmissionPolicy::default(),
             Some((journal, records)),
         );
-        spawn_daemon(addr, Arc::new(MixService::new(state, successor)))
+        spawn_daemon(addr, Arc::new(MixService { state }))
     }
 
     /// Spawn a *byzantine* daemon: the honest protocol with exactly
@@ -1371,7 +1074,7 @@ impl MixServerDaemon {
         spawn_daemon(
             addr,
             Arc::new(ByzantineService {
-                inner: MixService::new(state, None),
+                inner: MixService { state },
                 mode,
             }),
         )

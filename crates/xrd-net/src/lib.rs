@@ -6,8 +6,8 @@
 //! paper's EC2 testbed (§8).
 //!
 //! * [`codec`] — the length-prefixed binary wire protocol: submissions,
-//!   mix batches (whole and chunk-streamed, with a running stream
-//!   digest), hop attestations, inner-key reveals and rotations, blame
+//!   chunk-streamed mix batches (with a running stream digest), hop
+//!   attestations, inner-key reveals and rotations, blame
 //!   messages, mailbox delivery/fetch; hand-rolled, hard size caps,
 //!   canonical-encoding checks.  Spec: `docs/PROTOCOL.md`;
 //! * [`conn`] — the client side of a connection (request/response with
@@ -24,9 +24,9 @@
 //!   holding thousands of concurrent connections; streamed batch
 //!   chunks start hop crypto the moment they arrive;
 //! * [`coordinator`] — [`ChainClient`], driving one chain's round state
-//!   machine over the wire: submission window → k hops (whole-batch, or
-//!   chunk-streamed as a pipeline with verbatim next-hop forwarding) →
-//!   cross-server proof verification → blame → inner-key reveal;
+//!   machine over the wire: submission window → k hops (chunk-streamed
+//!   as a pipeline with verbatim next-hop relaying) → cross-server
+//!   proof verification → blame → inner-key reveal;
 //! * [`remote`] — [`RemoteDeployment`] (implements
 //!   `xrd_core::RoundBackend`, so it is interchangeable with the
 //!   in-process deployment) and [`launch_local`] (a whole deployment on
@@ -37,12 +37,10 @@
 //!   loop, with latency/throughput reporting; [`submit_storm`] storms
 //!   one daemon with tens of thousands of concurrent submitters;
 //! * [`manifest`] — parsed, validated deployment manifests: hosts,
-//!   per-process chain/hop/shard placement, ports, and the
-//!   daemon-to-daemon forwarding links, all checked against the
-//!   seed-derived topology;
+//!   per-process chain/hop/shard placement and ports, all checked
+//!   against the seed-derived topology;
 //! * [`launcher`] — spawn real `xrd-netd` processes from a manifest
-//!   (key ceremony, config files, `--successor` wiring, address
-//!   discovery) and connect a [`RemoteDeployment`] to them.  See
+//!   (key ceremony, config files, address discovery) and connect a [`RemoteDeployment`] to them.  See
 //!   `docs/DEPLOYMENT.md`;
 //! * [`faults`] — the adversarial deployment harness: a seeded,
 //!   frame-aware fault-injecting TCP proxy ([`FaultProxy`]) for chaos
@@ -68,7 +66,7 @@ pub mod swarm;
 
 pub use codec::{BatchAssembler, ChunkedBatch, CodecError, Frame, StreamDigest, StreamError};
 pub use conn::{Conn, ConnTimeouts, NetError};
-pub use coordinator::{ChainClient, MixPhase, PendingChainRound, RetryPolicy, Transport};
+pub use coordinator::{ChainClient, MixPhase, PendingChainRound, RetryPolicy};
 pub use daemon::{ByzantineMode, DaemonHandle, MailboxDaemon, MixServerDaemon, SubmissionPolicy};
 pub use faults::{Direction, FaultKind, FaultPlan, FaultProxy, FaultRule};
 pub use launcher::{launch_manifest, LaunchedCluster};

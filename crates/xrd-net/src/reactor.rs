@@ -94,46 +94,6 @@ pub trait Service: Send + Sync + 'static {
     fn on_close(&self, conn: ConnId) {
         let _ = conn;
     }
-
-    /// Called once at bind time with a [`ReactorHandle`] the service
-    /// may keep to push unsolicited frames to live connections (e.g. a
-    /// forwarding mix hop reporting its attestation back to the
-    /// coordinator when the triggering request arrived on a *different*
-    /// connection).  Default: ignore it.
-    fn attach(&self, handle: ReactorHandle) {
-        let _ = handle;
-    }
-}
-
-/// Pushes encoded frames to a reactor connection from any thread.
-///
-/// Bytes land in the connection's output buffer at the reactor's next
-/// loop iteration (a self-pipe wakeup makes that immediate) and are
-/// flushed under the usual backpressure rules.  A push to a connection
-/// that has since closed is silently discarded — the token is never
-/// reused, so it cannot reach a newer peer.  Unlike a deferred-job
-/// completion, a push does **not** re-open the connection's pending
-/// slot: it rides alongside whatever request/response exchange the
-/// connection is in.
-#[derive(Clone)]
-pub struct ReactorHandle {
-    completions: Arc<Completions>,
-    waker: Arc<Waker>,
-}
-
-impl ReactorHandle {
-    /// Queue `bytes` (one or more complete encoded frames) for `conn`.
-    pub fn push(&self, conn: ConnId, bytes: Vec<u8>) {
-        self.completions
-            .lock()
-            .expect("completions poisoned")
-            .push(Completion {
-                conn,
-                bytes,
-                reopens_slot: false,
-            });
-        self.waker.wake();
-    }
 }
 
 /// Wrap a plain request→response function as a [`Service`]: every
@@ -896,16 +856,13 @@ impl Waker {
     }
 }
 
-/// Bytes awaiting delivery to a connection: a deferred job's response
-/// (which re-opens the pending slot) or a [`ReactorHandle`] push
-/// (which does not).
+/// A deferred job's response, awaiting delivery to its connection.
 struct Completion {
     conn: ConnId,
     bytes: Vec<u8>,
-    reopens_slot: bool,
 }
 
-/// Completed deferred jobs and handle pushes awaiting delivery.
+/// Completed deferred jobs awaiting delivery.
 type Completions = Mutex<Vec<Completion>>;
 
 /// The event loop serving every connection of one daemon from a single
@@ -963,10 +920,6 @@ impl Reactor {
         tx.set_nonblocking(true)?;
         let waker = Arc::new(Waker { tx: Mutex::new(tx) });
         let completions: Arc<Completions> = Arc::new(Mutex::new(Vec::new()));
-        service.attach(ReactorHandle {
-            completions: Arc::clone(&completions),
-            waker: Arc::clone(&waker),
-        });
         Ok(Reactor {
             poller,
             listener,
@@ -1040,19 +993,16 @@ impl Reactor {
             }
             self.metrics.wakes.incr();
             self.metrics.ready_events.add(events.len() as u64);
-            // Deliver completed deferred responses (re-opening each
-            // connection's pending slot) and handle pushes (which ride
-            // alongside): queue the bytes and drive the connection this
-            // iteration.
+            // Deliver completed deferred responses, re-opening each
+            // connection's pending slot: queue the bytes and drive the
+            // connection this iteration.
             let done: Vec<Completion> =
                 std::mem::take(&mut *self.completions.lock().expect("completions poisoned"));
             for completion in done {
                 let Some(conn) = self.conns.get_mut(&completion.conn) else {
                     continue; // connection died while its job ran
                 };
-                if completion.reopens_slot {
-                    conn.pending = false;
-                }
+                conn.pending = false;
                 conn.outbuf.extend_from_slice(&completion.bytes);
                 events.push((completion.conn, 0));
             }
@@ -1162,11 +1112,7 @@ impl Reactor {
                         completions
                             .lock()
                             .expect("completions poisoned")
-                            .push(Completion {
-                                conn: token,
-                                bytes,
-                                reopens_slot: true,
-                            });
+                            .push(Completion { conn: token, bytes });
                         waker.wake();
                     });
                 }

@@ -4,7 +4,7 @@
 //! up on loopback TCP (one daemon per mix-server hop and per mailbox
 //! shard, each on its own port).
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::net::SocketAddr;
 
 use rand::RngCore;
@@ -62,8 +62,6 @@ pub struct RemoteDeployment {
     current_keys: Vec<ChainPublicKeys>,
     next_keys: Vec<ChainPublicKeys>,
     cover_store: CoverStore,
-    /// Concurrent submitter connections during the submission window.
-    submit_workers: usize,
     /// Raw submissions injected for the next round (attack testing).
     injected: Vec<(xrd_topology::ChainId, Submission)>,
     /// Chains whose key schedule fell out of sync after a failed
@@ -77,10 +75,6 @@ pub struct RemoteDeployment {
     timeouts: ConnTimeouts,
     /// Largest page a fetch asks a shard for.
     fetch_page_max: u32,
-    /// Drive client-side exchanges (submissions, mailbox fetches) from
-    /// the single-threaded client reactor instead of blocking worker
-    /// threads.
-    reactor_clients: bool,
 }
 
 impl RemoteDeployment {
@@ -146,19 +140,11 @@ impl RemoteDeployment {
             current_keys: chain_keys,
             next_keys: Vec::new(),
             cover_store: CoverStore::new(),
-            // Since the daemons went event-driven, connections cost the
-            // server nothing but a buffer: worker count is purely a
-            // client-side CPU knob (sealed frames per second), so scale
-            // it with the client's cores.
-            submit_workers: std::thread::available_parallelism()
-                .map(|n| (2 * n.get()).min(16))
-                .unwrap_or(4),
             injected: Vec::new(),
             dead: vec![false; n_chains],
             retry,
             timeouts,
             fetch_page_max: 256,
-            reactor_clients: true,
         };
         // Pre-publish round-1 inner keys (§5.3.3: covers for ρ+1 are
         // sealed while ρ runs).
@@ -211,43 +197,11 @@ impl RemoteDeployment {
         chain_bytes + mailbox_bytes
     }
 
-    /// Set the number of concurrent submitter connections.  The
-    /// event-driven daemons hold thousands of connections each (see
-    /// `submit_storm` for the single-daemon probe), so this only trades
-    /// client-side threads against submission-window wall clock.  Only
-    /// meaningful for the legacy blocking client path
-    /// ([`RemoteDeployment::set_reactor_clients`]`(false)`); the
-    /// reactor drives every session from one thread regardless.
-    pub fn set_submit_workers(&mut self, n: usize) {
-        self.submit_workers = n.max(1);
-    }
-
-    /// Choose the client-side driver for submissions and mailbox
-    /// fetches.  `true` (the default) pumps one state machine per
-    /// emulated client connection from a single epoll thread —
-    /// [`crate::swarm::reactor`] — which is what lets one process
-    /// emulate a 10k–100k-user population.  `false` restores the
-    /// blocking drivers: a thread-pool fan-out for submissions and the
-    /// pipelined per-shard walk for fetches (the latter is stricter
-    /// about desync detection, so fault-injection tests still use it).
-    pub fn set_reactor_clients(&mut self, on: bool) {
-        self.reactor_clients = on;
-    }
-
     /// Largest page a fetch asks a mailbox shard for (default 256
     /// entries).  Tests shrink it to force multi-page walks; the wire
     /// cost per round is unchanged either way.
     pub fn set_fetch_page_max(&mut self, max: u32) {
         self.fetch_page_max = max.max(1);
-    }
-
-    /// Select how every chain ships batches hop to hop (default
-    /// [`crate::Transport::Auto`]: stream large batches, ship small
-    /// ones whole).
-    pub fn set_transport(&mut self, transport: crate::Transport) {
-        for chain in &mut self.chains {
-            chain.set_transport(transport);
-        }
     }
 
     /// Queue a raw submission for the next round (simulating a user
@@ -299,8 +253,8 @@ impl RemoteDeployment {
             per_chain[chain.0 as usize].push(sub);
         }
 
-        // Submission window: open on every live chain, submit
-        // concurrently, then close and run input agreement.
+        // Submission window: open on every live chain, submit from the
+        // client reactor, then close and run input agreement.
         {
             let _span = xrd_obs::span_timer("round.submit_window", round);
             for (c, chain) in self.chains.iter_mut().enumerate() {
@@ -311,11 +265,7 @@ impl RemoteDeployment {
                     failed[c] = Some(format!("opening the window: {e}"));
                 }
             }
-            if self.reactor_clients {
-                self.submit_reactor(round, &per_chain, &mut failed);
-            } else {
-                self.submit_concurrently(round, &per_chain, &mut failed);
-            }
+            self.submit_reactor(round, &per_chain, &mut failed);
         }
 
         // Drive every chain's mix in parallel — each chain is an
@@ -517,46 +467,11 @@ impl RemoteDeployment {
             }
         }
 
-        // Fetch, one worker thread per shard: every online user's
-        // mailbox is paged down (and acked once safely read) over that
-        // shard's connection, then decryption runs from the prefetched
-        // map.
+        // Fetch from the client reactor: every online user's mailbox
+        // is paged down (and acked once safely read) from its shard,
+        // then decryption runs from the prefetched map.
         let fetch_span = xrd_obs::span_timer("round.fetch", round);
-        let mut prefetched: Prefetched = if self.reactor_clients {
-            self.fetch_reactor(round, users)?
-        } else {
-            let mut by_shard: Vec<Vec<[u8; 32]>> = vec![Vec::new(); n_shards];
-            for user in users.iter().filter(|u| u.online) {
-                let mailbox = user.mailbox_id();
-                by_shard[shard_of(&mailbox, n_shards)].push(mailbox);
-            }
-            let retry = self.retry;
-            let page_max = self.fetch_page_max;
-            let results: Vec<Result<Prefetched, NetError>> = std::thread::scope(|scope| {
-                self.mailbox_conns
-                    .iter_mut()
-                    .zip(by_shard)
-                    .map(|(conn, boxes)| {
-                        scope.spawn(move || fetch_shard(conn, boxes, page_max, retry))
-                    })
-                    .collect::<Vec<_>>()
-                    .into_iter()
-                    .map(|h| {
-                        h.join().unwrap_or_else(|_| {
-                            Err(NetError::Protocol("fetch worker panicked".into()))
-                        })
-                    })
-                    .collect()
-            });
-            let mut prefetched: Prefetched = HashMap::new();
-            for result in results {
-                prefetched.extend(result.map_err(|e| RoundError::Infrastructure {
-                    round,
-                    message: format!("mailbox fetch: {e}"),
-                })?);
-            }
-            prefetched
-        };
+        let mut prefetched = self.fetch_reactor(round, users)?;
         let fetched = open_fetched(&self.topo, round, users, |mailbox| {
             Ok(prefetched.remove(mailbox).unwrap_or_default())
         })?;
@@ -596,90 +511,6 @@ impl RemoteDeployment {
         Ok((report, fetched))
     }
 
-    /// Submit every sealed submission to every daemon of its chain (the
-    /// paper's input-agreement fan-out), spread across
-    /// `submit_workers` concurrent client connections.
-    ///
-    /// A chain whose daemons cannot be reached (after one reconnect
-    /// retry per failure) is marked failed in `failed` and its
-    /// remaining submissions skipped; a daemon *rejecting* one
-    /// submission (bad PoK, quota) skips that submission for that
-    /// chain without failing it.
-    fn submit_concurrently(
-        &self,
-        round: u64,
-        per_chain: &[Vec<Submission>],
-        failed: &mut [Option<String>],
-    ) {
-        let tasks: Vec<(usize, &Submission)> = per_chain
-            .iter()
-            .enumerate()
-            .filter(|(c, _)| failed[*c].is_none())
-            .flat_map(|(c, subs)| subs.iter().map(move |s| (c, s)))
-            .collect();
-        if tasks.is_empty() {
-            return;
-        }
-        let workers = self.submit_workers.min(tasks.len());
-        let chunk = tasks.len().div_ceil(workers);
-        let chain_addrs = &self.chain_addrs;
-        // Workers share the failure slate so one chain going down stops
-        // every worker's traffic to it, not just the discoverer's.
-        let shared: std::sync::Mutex<&mut [Option<String>]> = std::sync::Mutex::new(failed);
-
-        std::thread::scope(|scope| {
-            for chunk_tasks in tasks.chunks(chunk) {
-                let shared = &shared;
-                scope.spawn(move || {
-                    // Each worker keeps one connection per daemon it
-                    // talks to (a client device in miniature).
-                    let mut conns: HashMap<SocketAddr, Conn> = HashMap::new();
-                    'tasks: for &(c, submission) in chunk_tasks {
-                        if shared.lock().expect("failure slate poisoned")[c].is_some() {
-                            continue;
-                        }
-                        for &addr in &chain_addrs[c] {
-                            let frame = Frame::Submit {
-                                round,
-                                submission: submission.clone(),
-                            };
-                            let mut result = submit_once(&mut conns, addr, &frame);
-                            if matches!(&result, Err(e) if e.retryable()) {
-                                conns.remove(&addr);
-                                result = submit_once(&mut conns, addr, &frame);
-                            }
-                            match result {
-                                Ok(()) => {}
-                                Err(NetError::Remote { code, message }) => {
-                                    // The daemon rejected this one
-                                    // submission; the window stays up.
-                                    xrd_obs::debug!(
-                                        "round {round}: chain {c} daemon rejected a \
-                                         submission ({code}: {message})"
-                                    );
-                                    continue 'tasks;
-                                }
-                                Err(e) => {
-                                    shared.lock().expect("failure slate poisoned")[c]
-                                        .get_or_insert(format!("submission window: {e}"));
-                                    continue 'tasks;
-                                }
-                            }
-                        }
-                    }
-                });
-            }
-        });
-    }
-
-    /// The reactor-driven submission window: one
-    /// [`client_reactor::SubmitSession`] per sealed submission, each
-    /// fanning out to every daemon of its chain, all pumped
-    /// concurrently from a single epoll thread.  Failure semantics
-    /// match [`RemoteDeployment::submit_concurrently`]: a daemon
-    /// *rejecting* a submission (bad PoK, quota) skips that submission
-    /// without failing the chain; transport trouble the session's
-    /// bounded retries could not heal fails the chain.
     /// The reactor drive knobs, derived from the deployment's own
     /// deadlines and retry policy so reactor-driven clients fail (and
     /// heal) on the same clock as the blocking coordinator conns: the
@@ -709,6 +540,13 @@ impl RemoteDeployment {
         }
     }
 
+    /// The reactor-driven submission window: one
+    /// [`client_reactor::SubmitSession`] per sealed submission, each
+    /// fanning out to every daemon of its chain (the paper's
+    /// input-agreement fan-out), all pumped concurrently from a single
+    /// epoll thread.  A daemon *rejecting* a malformed submission skips
+    /// that submission without failing the chain; transport trouble the
+    /// session's bounded retries could not heal fails the chain.
     fn submit_reactor(
         &self,
         round: u64,
@@ -823,23 +661,9 @@ impl RemoteDeployment {
     }
 }
 
-/// One submission to one daemon over the worker's cached connection
-/// (dialing it first if needed).
-fn submit_once(
-    conns: &mut HashMap<SocketAddr, Conn>,
-    addr: SocketAddr,
-    frame: &Frame,
-) -> Result<(), NetError> {
-    let conn = match conns.entry(addr) {
-        std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-        std::collections::hash_map::Entry::Vacant(e) => e.insert(Conn::connect(addr)?),
-    };
-    conn.request_ok(frame)
-}
-
-/// What the shard-parallel fetch phase hands to decryption: each
-/// online mailbox's `(delivery_round, sealed)` entries, oldest first.
-type Prefetched = HashMap<[u8; 32], Vec<(u64, Vec<u8>)>>;
+/// What the fetch phase hands to decryption: each online mailbox's
+/// `(delivery_round, sealed)` entries, oldest first.
+pub(crate) type Prefetched = HashMap<[u8; 32], Vec<(u64, Vec<u8>)>>;
 
 /// Deliver one shard's messages, in codec-bounded chunks.  Each chunk
 /// carries a batch id unique within the round **on this shard's
@@ -873,285 +697,6 @@ pub(crate) fn deliver_shard(
         batch += 1;
     }
     Ok(())
-}
-
-/// Requests a pipelined shard fetch keeps in flight at once.
-const FETCH_WINDOW: usize = 64;
-
-/// Why one pipelined pass over a shard connection did not complete.
-enum PassError {
-    /// The transport failed mid-pass.
-    Wire(NetError),
-    /// The response stream desynchronized from the request stream (a
-    /// dropped or mangled frame on a faulty wire): positional pairing
-    /// can no longer be trusted, so the pass's findings are discarded.
-    Desync(String),
-}
-
-impl PassError {
-    fn retryable(&self) -> bool {
-        match self {
-            PassError::Wire(e) => e.retryable(),
-            PassError::Desync(_) => true,
-        }
-    }
-
-    fn into_net(self) -> NetError {
-        match self {
-            PassError::Wire(e) => e,
-            PassError::Desync(why) => {
-                NetError::Protocol(format!("mailbox fetch pipeline desync: {why}"))
-            }
-        }
-    }
-}
-
-/// Page down (and then ack) every listed mailbox over one shard
-/// connection, **pipelined**: up to [`FETCH_WINDOW`] requests ride the
-/// wire before their first response is awaited.  The daemon answers a
-/// connection's requests strictly in order (PROTOCOL.md §6), so
-/// responses pair up positionally; with the requests batched, both
-/// sides coalesce small frames into few syscalls and the per-mailbox
-/// round-trip wait disappears — this, not thread count, is what makes
-/// the shard-parallel fetch beat the one-request-at-a-time baseline
-/// even on a single core.
-///
-/// Positional pairing is only as good as the wire, so the exchange is
-/// two-phase, each phase safe to restart wholesale:
-///
-/// 1. **Walk** — pipeline every mailbox's cursor walk (each mailbox
-///    has at most one request outstanding).  Reads are
-///    non-destructive, so a pass that does not finish cleanly — a
-///    transport error, a response that doesn't match its request, a
-///    missing response — is *discarded in full* and rerun; nothing a
-///    desynchronized pairing might have mis-attributed survives.
-/// 2. **Ack** — pipeline one `FetchAck` per non-empty mailbox.  All
-///    responses are `Ok`, so only the *count* matters: the daemon
-///    answers every request it receives, so a count-complete pass
-///    proves every ack was applied, and acks are idempotent watermarks
-///    so a failed pass is simply resent.
-pub(crate) fn fetch_shard(
-    conn: &mut Conn,
-    boxes: Vec<[u8; 32]>,
-    page_max: u32,
-    retry: RetryPolicy,
-) -> Result<Prefetched, NetError> {
-    let mut attempt = 0;
-    let walked = loop {
-        match fetch_pass(conn, &boxes, page_max) {
-            Ok(walked) => break walked,
-            Err(e) if e.retryable() && attempt + 1 < retry.attempts => {
-                xrd_obs::debug!("mailbox fetch pass retrying: {}", e.into_net());
-                attempt += 1;
-                retry.sleep(attempt);
-                let _ = conn.reconnect();
-            }
-            Err(e) => return Err(e.into_net()),
-        }
-    };
-
-    let acks: Vec<([u8; 32], u64)> = walked
-        .iter()
-        .filter(|(_, entries, _)| !entries.is_empty())
-        .map(|(mailbox, _, cursor)| (*mailbox, *cursor))
-        .collect();
-    let mut attempt = 0;
-    while !acks.is_empty() {
-        match ack_pass(conn, &acks) {
-            Ok(()) => break,
-            Err(e) if e.retryable() && attempt + 1 < retry.attempts => {
-                xrd_obs::debug!("mailbox ack pass retrying: {}", e.into_net());
-                attempt += 1;
-                retry.sleep(attempt);
-                let _ = conn.reconnect();
-            }
-            Err(e) => return Err(e.into_net()),
-        }
-    }
-
-    Ok(walked
-        .into_iter()
-        .map(|(mailbox, entries, _)| (mailbox, entries))
-        .collect())
-}
-
-/// One pipelined walk pass: every mailbox paged from cursor 0 to
-/// `remaining == 0`.  Returns `(mailbox, entries, end_cursor)` per
-/// mailbox, or the reason the whole pass must be discarded.
-#[allow(clippy::type_complexity)]
-fn fetch_pass(
-    conn: &mut Conn,
-    boxes: &[[u8; 32]],
-    page_max: u32,
-) -> Result<Vec<([u8; 32], Vec<(u64, Vec<u8>)>, u64)>, PassError> {
-    struct BoxWalk {
-        cursor: u64,
-        entries: Vec<(u64, Vec<u8>)>,
-        done: bool,
-    }
-    let mut state: Vec<BoxWalk> = boxes
-        .iter()
-        .map(|_| BoxWalk {
-            cursor: 0,
-            entries: Vec::new(),
-            done: false,
-        })
-        .collect();
-
-    let mut todo: VecDeque<usize> = (0..boxes.len()).collect();
-    let mut inflight: VecDeque<usize> = VecDeque::new();
-    loop {
-        // Refill the window in batches, one flush per refill.
-        if !todo.is_empty() && inflight.len() <= FETCH_WINDOW / 2 {
-            while inflight.len() < FETCH_WINDOW {
-                let Some(i) = todo.pop_front() else { break };
-                conn.send_buffered(&Frame::FetchPage {
-                    mailbox: boxes[i],
-                    cursor: state[i].cursor,
-                    max: page_max,
-                })
-                .map_err(PassError::Wire)?;
-                inflight.push_back(i);
-            }
-            conn.flush().map_err(PassError::Wire)?;
-        }
-        let Some(i) = inflight.pop_front() else {
-            break;
-        };
-        match conn.recv().map_err(PassError::Wire)? {
-            Frame::MailboxPage {
-                sealed,
-                next_cursor,
-                remaining,
-            } => {
-                let b = &mut state[i];
-                if next_cursor < b.cursor {
-                    return Err(PassError::Desync(format!(
-                        "cursor went backwards ({} < {})",
-                        next_cursor, b.cursor
-                    )));
-                }
-                b.entries.extend(sealed);
-                b.cursor = next_cursor;
-                if remaining > 0 {
-                    todo.push_back(i);
-                } else {
-                    b.done = true;
-                }
-            }
-            // Never delivered to: empty from the client's point of view.
-            Frame::Error { code, .. } if code == error_code::UNKNOWN_MAILBOX => {
-                state[i].done = true;
-            }
-            Frame::Error { code, message } => {
-                return Err(PassError::Wire(NetError::Remote { code, message }));
-            }
-            other => {
-                return Err(PassError::Desync(format!(
-                    "expected MailboxPage, got {other:?}"
-                )));
-            }
-        }
-    }
-    if state.iter().any(|b| !b.done) {
-        return Err(PassError::Desync("walk ended with unfinished boxes".into()));
-    }
-    Ok(boxes
-        .iter()
-        .zip(state)
-        .map(|(mailbox, b)| (*mailbox, b.entries, b.cursor))
-        .collect())
-}
-
-/// One pipelined ack pass: a `FetchAck` per mailbox, count-verified.
-fn ack_pass(conn: &mut Conn, acks: &[([u8; 32], u64)]) -> Result<(), PassError> {
-    let mut sent = 0;
-    let mut confirmed = 0;
-    while confirmed < acks.len() {
-        while sent < acks.len() && sent - confirmed < FETCH_WINDOW {
-            let (mailbox, upto) = acks[sent];
-            conn.send_buffered(&Frame::FetchAck { mailbox, upto })
-                .map_err(PassError::Wire)?;
-            sent += 1;
-        }
-        conn.flush().map_err(PassError::Wire)?;
-        match conn.recv().map_err(PassError::Wire)? {
-            Frame::Ok => confirmed += 1,
-            Frame::Error { code, message } => {
-                return Err(PassError::Wire(NetError::Remote { code, message }));
-            }
-            other => {
-                return Err(PassError::Desync(format!("expected Ok, got {other:?}")));
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Fetch one mailbox completely: follow `next_cursor` until the shard
-/// reports nothing remaining, then ack everything read.  A mailbox the
-/// shard has never heard of is simply empty from the client's point of
-/// view (first round, or a user whose partners all went silent).
-///
-/// The ack goes out only after every page has safely arrived, so a
-/// client (or connection) dying mid-walk re-reads from its previous
-/// watermark next round instead of losing mail — at-least-once, with
-/// redelivery across failures.
-pub(crate) fn fetch_mailbox(
-    conn: &mut Conn,
-    mailbox: &[u8; 32],
-    page_max: u32,
-    retry: RetryPolicy,
-) -> Result<Vec<(u64, Vec<u8>)>, NetError> {
-    let mut out = Vec::new();
-    let mut cursor = 0u64;
-    loop {
-        let frame = Frame::FetchPage {
-            mailbox: *mailbox,
-            cursor,
-            max: page_max,
-        };
-        match request_retry(conn, &frame, retry) {
-            Ok(Frame::MailboxPage {
-                sealed,
-                next_cursor,
-                remaining,
-            }) => {
-                out.extend(sealed);
-                cursor = next_cursor;
-                if remaining == 0 {
-                    break;
-                }
-            }
-            Ok(other) => {
-                return Err(NetError::Protocol(format!(
-                    "expected MailboxPage, got {other:?}"
-                )))
-            }
-            Err(NetError::Remote { code, .. }) if code == error_code::UNKNOWN_MAILBOX => {
-                return Ok(Vec::new());
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    if !out.is_empty() {
-        match request_retry(
-            conn,
-            &Frame::FetchAck {
-                mailbox: *mailbox,
-                upto: cursor,
-            },
-            retry,
-        )? {
-            Frame::Ok => {}
-            other => {
-                return Err(NetError::Protocol(format!(
-                    "expected Ok to FetchAck, got {other:?}"
-                )))
-            }
-        }
-    }
-    Ok(out)
 }
 
 impl RoundBackend for RemoteDeployment {
@@ -1345,26 +890,18 @@ fn spawn_cluster<R: RngCore + ?Sized>(
         // deployment.
         let (mut secrets, mut public) = generate_chain_keys(rng, k, c as u64);
         rotate_inner_keys(rng, &mut secrets, &mut public, 0);
-        // Spawn in reverse hop order so each daemon knows its
-        // successor's bound address; the links sit unused until a
-        // round runs under [`crate::Transport::Forwarded`].
         let mut daemons = Vec::with_capacity(k);
         let mut addrs = Vec::with_capacity(k);
-        let mut successor: Option<SocketAddr> = None;
-        for server_secrets in secrets.into_iter().rev() {
-            let daemon = MixServerDaemon::spawn_with_successor(
+        for server_secrets in secrets {
+            let daemon = MixServerDaemon::spawn(
                 "127.0.0.1:0",
                 server_secrets,
                 public.clone(),
                 rng.next_u64(),
-                successor,
             )?;
-            successor = Some(daemon.addr());
             addrs.push(daemon.addr());
             daemons.push(daemon);
         }
-        daemons.reverse();
-        addrs.reverse();
         mix.push(daemons);
         chain_addrs.push(addrs);
         chain_keys.push(public);

@@ -16,26 +16,32 @@
 //!   serial vs shard-parallel, with a user-churn leg exercising
 //!   ack-driven retention at scale.
 //!
-//! All client connections are pumped by the single-threaded client
-//! reactor in [`reactor`] — one epoll loop emulating the whole user
-//! population — rather than a pool of blocking worker threads.
+//! Submitters and the deployment's fetchers are pumped by the
+//! single-threaded client reactor in [`reactor`] — one epoll loop
+//! emulating the whole user population — rather than a pool of
+//! blocking worker threads.  Only the mailbox storm's serial and
+//! shard-parallel legs walk shards over blocking connections: they are
+//! the baselines it measures.
 
 pub mod reactor;
 
+use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
 use rand::RngCore;
 
 use xrd_core::user::{Received, User};
+use xrd_crypto::nizk::DleqProof;
 use xrd_mixnet::chain_keys::{generate_chain_keys, rotate_inner_keys};
 use xrd_mixnet::client::{seal_ahs, Submission};
 use xrd_mixnet::message::{MailboxMessage, MixEntry, MAILBOX_MSG_LEN};
 use xrd_mixnet::server::verify_hop;
 
-use crate::codec::{BatchAssembler, ChunkedBatch, Frame, STREAM_CHUNK};
+use crate::codec::{error_code, BatchAssembler, ChunkedBatch, Frame, STREAM_CHUNK};
 use crate::conn::{Conn, NetError};
+use crate::coordinator::{request_retry, RetryPolicy};
 use crate::daemon::MixServerDaemon;
-use crate::remote::RemoteDeployment;
+use crate::remote::{Prefetched, RemoteDeployment};
 
 /// Swarm shape.
 #[derive(Clone, Debug)]
@@ -47,8 +53,6 @@ pub struct SwarmConfig {
     /// Fraction of users in pairwise conversations (the rest idle and
     /// send loopback cover traffic only).
     pub conversing_fraction: f64,
-    /// Concurrent submitter connections.
-    pub submit_workers: usize,
 }
 
 impl Default for SwarmConfig {
@@ -57,7 +61,6 @@ impl Default for SwarmConfig {
             n_users: 128,
             rounds: 3,
             conversing_fraction: 0.5,
-            submit_workers: 8,
         }
     }
 }
@@ -126,8 +129,6 @@ pub fn run_swarm<R: RngCore + ?Sized>(
     deployment: &mut RemoteDeployment,
     config: &SwarmConfig,
 ) -> Result<SwarmReport, xrd_core::RoundError> {
-    deployment.set_submit_workers(config.submit_workers);
-
     let mut users: Vec<User> = (0..config.n_users).map(|_| User::new(rng)).collect();
     // Pair the first `conversing_fraction` of users: (0,1), (2,3), …
     let paired = ((config.n_users as f64 * config.conversing_fraction) as usize) & !1;
@@ -231,12 +232,13 @@ pub struct StormReport {
     /// Wall clock for the submission phase (every connection submits
     /// once, with its proof of knowledge verified by the daemon).
     pub submit_elapsed: Duration,
-    /// Wall clock for one *whole-batch* mix hop over the full batch
-    /// (one monolithic `MixBatch` frame, one monolithic response).
+    /// Wall clock for one mix hop over the full batch shipped as a
+    /// *single* chunk ([`hop_request`]): the daemon's compute cannot
+    /// start before the whole transfer lands.
     pub hop_elapsed: Duration,
-    /// Wall clock for the same hop *streamed*: the batch shipped as
-    /// chunks the daemon starts decrypting on arrival, the output
-    /// streamed back in chunks.
+    /// Wall clock for the same hop *streamed* in [`STREAM_CHUNK`]-entry
+    /// chunks the daemon starts decrypting on arrival — the deployment's
+    /// mix path.
     pub hop_streamed_elapsed: Duration,
     /// Verified submissions per second during the submission phase.
     pub submits_per_sec: f64,
@@ -271,6 +273,55 @@ pub fn sealed_submissions<R: RngCore + ?Sized>(
             seal_ahs(rng, public, round, &msg)
         })
         .collect()
+}
+
+/// One whole mix hop as a chunk stream carrying all of `entries` in a
+/// single `MixBatchChunk` (Start, Chunk, End, encoded back to back) —
+/// what a one-shot hop request looks like on the wire.  Send it with
+/// [`Conn::send_encoded`] (or any raw writer) and read the answer with
+/// [`read_hop_output`].
+pub fn hop_request(round: u64, entries: &[MixEntry]) -> Vec<u8> {
+    ChunkedBatch::build(round, entries, entries.len())
+        .frames()
+        .concat()
+}
+
+/// Assemble one hop's streamed response — `HopOutputStart`, the
+/// `HopOutputChunk`s, `HopOutputEnd` — from `next_frame`, checking the
+/// round, the declared total and the stream digest.  Returns the
+/// shuffled outputs and the hop's attestation; a `HopFailure` or any
+/// other frame is a protocol error, an `Error` frame a remote one.
+pub fn read_hop_output(
+    round: u64,
+    mut next_frame: impl FnMut() -> Result<Frame, NetError>,
+) -> Result<(Vec<MixEntry>, DleqProof), NetError> {
+    let stream_err = |e| NetError::Protocol(format!("hop output stream: {e}"));
+    let mut assembler = match next_frame()? {
+        Frame::HopOutputStart {
+            round: r, total, ..
+        } if r == round => BatchAssembler::begin(round, total).map_err(stream_err)?,
+        Frame::Error { code, message } => return Err(NetError::Remote { code, message }),
+        other => {
+            return Err(NetError::Protocol(format!(
+                "expected HopOutputStart, got {other:?}"
+            )))
+        }
+    };
+    loop {
+        match next_frame()? {
+            Frame::HopOutputChunk { entries } => {
+                assembler.absorb(entries).map_err(stream_err)?;
+            }
+            Frame::HopOutputEnd { digest, proof } => {
+                return Ok((assembler.finish(digest).map_err(stream_err)?, proof));
+            }
+            other => {
+                return Err(NetError::Protocol(format!(
+                    "expected HopOutputChunk/End, got {other:?}"
+                )))
+            }
+        }
+    }
 }
 
 /// Drive `config.n_conns` *concurrent* submitter connections against a
@@ -369,24 +420,13 @@ pub fn submit_storm<R: RngCore + ?Sized>(
     };
     let entries: Vec<MixEntry> = batch.iter().map(|s| s.to_entry()).collect();
     let hop_start = Instant::now();
-    let hop = control.request(&Frame::MixBatch {
-        round,
-        entries: entries.clone(),
-    })?;
+    control.send_encoded(&hop_request(round, &entries))?;
+    let (outputs, proof) = read_hop_output(round, || control.recv())?;
     let hop_elapsed = hop_start.elapsed();
-    match hop {
-        Frame::HopOutput { outputs, proof, .. } => {
-            if !verify_hop(&public, 0, round, &entries, &outputs, &proof) {
-                return Err(NetError::Protocol(
-                    "storm hop attestation failed verification".into(),
-                ));
-            }
-        }
-        other => {
-            return Err(NetError::Protocol(format!(
-                "expected HopOutput, got {other:?}"
-            )))
-        }
+    if !verify_hop(&public, 0, round, &entries, &outputs, &proof) {
+        return Err(NetError::Protocol(
+            "storm hop attestation failed verification".into(),
+        ));
     }
 
     // The same hop *streamed*: chunks hit the daemon's worker pool as
@@ -396,40 +436,7 @@ pub fn submit_storm<R: RngCore + ?Sized>(
     for bytes in stream.frames() {
         control.send_encoded(bytes)?;
     }
-    let total = match control.recv()? {
-        Frame::HopOutputStart {
-            round: r,
-            position: 0,
-            total,
-        } if r == round => total,
-        other => {
-            return Err(NetError::Protocol(format!(
-                "expected HopOutputStart, got {other:?}"
-            )))
-        }
-    };
-    let mut assembler = BatchAssembler::begin(round, total)
-        .map_err(|e| NetError::Protocol(format!("storm hop stream: {e}")))?;
-    let (outputs, proof) = loop {
-        match control.recv()? {
-            Frame::HopOutputChunk { entries } => {
-                assembler
-                    .absorb(entries)
-                    .map_err(|e| NetError::Protocol(format!("storm hop stream: {e}")))?;
-            }
-            Frame::HopOutputEnd { digest, proof } => {
-                let outputs = assembler
-                    .finish(digest)
-                    .map_err(|e| NetError::Protocol(format!("storm hop stream: {e}")))?;
-                break (outputs, proof);
-            }
-            other => {
-                return Err(NetError::Protocol(format!(
-                    "expected HopOutputChunk/End, got {other:?}"
-                )))
-            }
-        }
-    };
+    let (outputs, proof) = read_hop_output(round, || control.recv())?;
     let hop_streamed_elapsed = hop_streamed_start.elapsed();
     if !verify_hop(&public, 0, round, &entries, &outputs, &proof) {
         return Err(NetError::Protocol(
@@ -584,9 +591,8 @@ pub fn mailbox_storm<R: RngCore + ?Sized>(
     rng: &mut R,
     config: &MailboxStormConfig,
 ) -> Result<MailboxStormReport, NetError> {
-    use crate::coordinator::RetryPolicy;
     use crate::daemon::MailboxDaemon;
-    use crate::remote::{deliver_shard, fetch_mailbox, fetch_shard};
+    use crate::remote::deliver_shard;
 
     assert!(config.shards >= 1 && config.mailboxes >= 1);
     let retry = RetryPolicy::default();
@@ -721,4 +727,288 @@ pub fn mailbox_storm<R: RngCore + ?Sized>(
         lost,
         duplicated,
     })
+}
+
+// ---------------------------------------------------------------------
+// Mailbox-storm fetch legs: blocking walks over one shard connection
+// (the deployment itself fetches from the client reactor)
+// ---------------------------------------------------------------------
+
+/// Requests a pipelined shard fetch keeps in flight at once.
+const FETCH_WINDOW: usize = 64;
+
+/// Why one pipelined pass over a shard connection did not complete.
+enum PassError {
+    /// The transport failed mid-pass.
+    Wire(NetError),
+    /// The response stream desynchronized from the request stream (a
+    /// dropped or mangled frame on a faulty wire): positional pairing
+    /// can no longer be trusted, so the pass's findings are discarded.
+    Desync(String),
+}
+
+impl PassError {
+    fn retryable(&self) -> bool {
+        match self {
+            PassError::Wire(e) => e.retryable(),
+            PassError::Desync(_) => true,
+        }
+    }
+
+    fn into_net(self) -> NetError {
+        match self {
+            PassError::Wire(e) => e,
+            PassError::Desync(why) => {
+                NetError::Protocol(format!("mailbox fetch pipeline desync: {why}"))
+            }
+        }
+    }
+}
+
+/// Page down (and then ack) every listed mailbox over one shard
+/// connection, **pipelined**: up to [`FETCH_WINDOW`] requests ride the
+/// wire before their first response is awaited.  The daemon answers a
+/// connection's requests strictly in order (PROTOCOL.md §6), so
+/// responses pair up positionally; with the requests batched, both
+/// sides coalesce small frames into few syscalls and the per-mailbox
+/// round-trip wait disappears — this, not thread count, is what makes
+/// the shard-parallel fetch beat the one-request-at-a-time baseline
+/// even on a single core.
+///
+/// Positional pairing is only as good as the wire, so the exchange is
+/// two-phase, each phase safe to restart wholesale:
+///
+/// 1. **Walk** — pipeline every mailbox's cursor walk (each mailbox
+///    has at most one request outstanding).  Reads are
+///    non-destructive, so a pass that does not finish cleanly — a
+///    transport error, a response that doesn't match its request, a
+///    missing response — is *discarded in full* and rerun; nothing a
+///    desynchronized pairing might have mis-attributed survives.
+/// 2. **Ack** — pipeline one `FetchAck` per non-empty mailbox.  All
+///    responses are `Ok`, so only the *count* matters: the daemon
+///    answers every request it receives, so a count-complete pass
+///    proves every ack was applied, and acks are idempotent watermarks
+///    so a failed pass is simply resent.
+fn fetch_shard(
+    conn: &mut Conn,
+    boxes: Vec<[u8; 32]>,
+    page_max: u32,
+    retry: RetryPolicy,
+) -> Result<Prefetched, NetError> {
+    let mut attempt = 0;
+    let walked = loop {
+        match fetch_pass(conn, &boxes, page_max) {
+            Ok(walked) => break walked,
+            Err(e) if e.retryable() && attempt + 1 < retry.attempts => {
+                xrd_obs::debug!("mailbox fetch pass retrying: {}", e.into_net());
+                attempt += 1;
+                retry.sleep(attempt);
+                let _ = conn.reconnect();
+            }
+            Err(e) => return Err(e.into_net()),
+        }
+    };
+
+    let acks: Vec<([u8; 32], u64)> = walked
+        .iter()
+        .filter(|(_, entries, _)| !entries.is_empty())
+        .map(|(mailbox, _, cursor)| (*mailbox, *cursor))
+        .collect();
+    let mut attempt = 0;
+    while !acks.is_empty() {
+        match ack_pass(conn, &acks) {
+            Ok(()) => break,
+            Err(e) if e.retryable() && attempt + 1 < retry.attempts => {
+                xrd_obs::debug!("mailbox ack pass retrying: {}", e.into_net());
+                attempt += 1;
+                retry.sleep(attempt);
+                let _ = conn.reconnect();
+            }
+            Err(e) => return Err(e.into_net()),
+        }
+    }
+
+    Ok(walked
+        .into_iter()
+        .map(|(mailbox, entries, _)| (mailbox, entries))
+        .collect())
+}
+
+/// One pipelined walk pass: every mailbox paged from cursor 0 to
+/// `remaining == 0`.  Returns `(mailbox, entries, end_cursor)` per
+/// mailbox, or the reason the whole pass must be discarded.
+#[allow(clippy::type_complexity)]
+fn fetch_pass(
+    conn: &mut Conn,
+    boxes: &[[u8; 32]],
+    page_max: u32,
+) -> Result<Vec<([u8; 32], Vec<(u64, Vec<u8>)>, u64)>, PassError> {
+    struct BoxWalk {
+        cursor: u64,
+        entries: Vec<(u64, Vec<u8>)>,
+        done: bool,
+    }
+    let mut state: Vec<BoxWalk> = boxes
+        .iter()
+        .map(|_| BoxWalk {
+            cursor: 0,
+            entries: Vec::new(),
+            done: false,
+        })
+        .collect();
+
+    let mut todo: VecDeque<usize> = (0..boxes.len()).collect();
+    let mut inflight: VecDeque<usize> = VecDeque::new();
+    loop {
+        // Refill the window in batches, one flush per refill.
+        if !todo.is_empty() && inflight.len() <= FETCH_WINDOW / 2 {
+            while inflight.len() < FETCH_WINDOW {
+                let Some(i) = todo.pop_front() else { break };
+                conn.send_buffered(&Frame::FetchPage {
+                    mailbox: boxes[i],
+                    cursor: state[i].cursor,
+                    max: page_max,
+                })
+                .map_err(PassError::Wire)?;
+                inflight.push_back(i);
+            }
+            conn.flush().map_err(PassError::Wire)?;
+        }
+        let Some(i) = inflight.pop_front() else {
+            break;
+        };
+        match conn.recv().map_err(PassError::Wire)? {
+            Frame::MailboxPage {
+                sealed,
+                next_cursor,
+                remaining,
+            } => {
+                let b = &mut state[i];
+                if next_cursor < b.cursor {
+                    return Err(PassError::Desync(format!(
+                        "cursor went backwards ({} < {})",
+                        next_cursor, b.cursor
+                    )));
+                }
+                b.entries.extend(sealed);
+                b.cursor = next_cursor;
+                if remaining > 0 {
+                    todo.push_back(i);
+                } else {
+                    b.done = true;
+                }
+            }
+            // Never delivered to: empty from the client's point of view.
+            Frame::Error { code, .. } if code == error_code::UNKNOWN_MAILBOX => {
+                state[i].done = true;
+            }
+            Frame::Error { code, message } => {
+                return Err(PassError::Wire(NetError::Remote { code, message }));
+            }
+            other => {
+                return Err(PassError::Desync(format!(
+                    "expected MailboxPage, got {other:?}"
+                )));
+            }
+        }
+    }
+    if state.iter().any(|b| !b.done) {
+        return Err(PassError::Desync("walk ended with unfinished boxes".into()));
+    }
+    Ok(boxes
+        .iter()
+        .zip(state)
+        .map(|(mailbox, b)| (*mailbox, b.entries, b.cursor))
+        .collect())
+}
+
+/// One pipelined ack pass: a `FetchAck` per mailbox, count-verified.
+fn ack_pass(conn: &mut Conn, acks: &[([u8; 32], u64)]) -> Result<(), PassError> {
+    let mut sent = 0;
+    let mut confirmed = 0;
+    while confirmed < acks.len() {
+        while sent < acks.len() && sent - confirmed < FETCH_WINDOW {
+            let (mailbox, upto) = acks[sent];
+            conn.send_buffered(&Frame::FetchAck { mailbox, upto })
+                .map_err(PassError::Wire)?;
+            sent += 1;
+        }
+        conn.flush().map_err(PassError::Wire)?;
+        match conn.recv().map_err(PassError::Wire)? {
+            Frame::Ok => confirmed += 1,
+            Frame::Error { code, message } => {
+                return Err(PassError::Wire(NetError::Remote { code, message }));
+            }
+            other => {
+                return Err(PassError::Desync(format!("expected Ok, got {other:?}")));
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Fetch one mailbox completely: follow `next_cursor` until the shard
+/// reports nothing remaining, then ack everything read.  A mailbox the
+/// shard has never heard of is simply empty from the client's point of
+/// view (first round, or a user whose partners all went silent).
+///
+/// The ack goes out only after every page has safely arrived, so a
+/// client (or connection) dying mid-walk re-reads from its previous
+/// watermark next round instead of losing mail — at-least-once, with
+/// redelivery across failures.
+fn fetch_mailbox(
+    conn: &mut Conn,
+    mailbox: &[u8; 32],
+    page_max: u32,
+    retry: RetryPolicy,
+) -> Result<Vec<(u64, Vec<u8>)>, NetError> {
+    let mut out = Vec::new();
+    let mut cursor = 0u64;
+    loop {
+        let frame = Frame::FetchPage {
+            mailbox: *mailbox,
+            cursor,
+            max: page_max,
+        };
+        match request_retry(conn, &frame, retry) {
+            Ok(Frame::MailboxPage {
+                sealed,
+                next_cursor,
+                remaining,
+            }) => {
+                out.extend(sealed);
+                cursor = next_cursor;
+                if remaining == 0 {
+                    break;
+                }
+            }
+            Ok(other) => {
+                return Err(NetError::Protocol(format!(
+                    "expected MailboxPage, got {other:?}"
+                )))
+            }
+            Err(NetError::Remote { code, .. }) if code == error_code::UNKNOWN_MAILBOX => {
+                return Ok(Vec::new());
+            }
+            Err(e) => return Err(e),
+        }
+    }
+    if !out.is_empty() {
+        match request_retry(
+            conn,
+            &Frame::FetchAck {
+                mailbox: *mailbox,
+                upto: cursor,
+            },
+            retry,
+        )? {
+            Frame::Ok => {}
+            other => {
+                return Err(NetError::Protocol(format!(
+                    "expected Ok to FetchAck, got {other:?}"
+                )))
+            }
+        }
+    }
+    Ok(out)
 }

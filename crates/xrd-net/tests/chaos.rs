@@ -169,9 +169,9 @@ fn chaos_sweep(seeds: std::ops::Range<u64>) {
         "BatchDigest",
         "GetBatch",
         "SubmissionBatch",
-        "MixBatch",
-        "HopOutput",
-        "VerifyHop",
+        "MixBatchChunk",
+        "HopOutputChunk",
+        "VerifyHopKeys",
         "VerifyResult",
         "RevealInnerKey",
         "InnerKeyReveal",
@@ -388,12 +388,12 @@ fn corrupting_hop_is_localized_and_other_chains_deliver() {
 #[test]
 fn stalled_mix_frame_times_out_and_retries() {
     let mut rng = StdRng::seed_from_u64(74);
-    // Every proxy stalls the first MixBatch it sees, indefinitely; the
-    // reconnect after the read deadline gets a fresh (spent) plan
-    // state, so the retry sails through.
+    // Every proxy stalls the first MixBatchStart it sees,
+    // indefinitely; the reconnect after the read deadline gets a fresh
+    // (spent) plan state, so the retry sails through.
     let plan = FaultPlan::new(74).with(
         FaultRule::new(FaultKind::Stall)
-            .tag(tag("MixBatch"))
+            .tag(tag("MixBatchStart"))
             .dir(Direction::Up),
     );
     let config = DeploymentConfig::small(3, 3);
@@ -451,7 +451,7 @@ fn permanently_stalled_deployment_fails_typed_not_hung() {
     let mut rng = StdRng::seed_from_u64(75);
     let plan = FaultPlan::new(75).with(
         FaultRule::new(FaultKind::Stall)
-            .tag(tag("MixBatch"))
+            .tag(tag("MixBatchStart"))
             .count(u32::MAX)
             .dir(Direction::Up),
     );

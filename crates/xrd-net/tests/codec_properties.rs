@@ -156,9 +156,15 @@ fn obs_snapshot(rng: &mut StdRng) -> xrd_obs::Snapshot {
     }
 }
 
-/// Number of distinct frame constructors below (keep in sync; the one
-/// index with no explicit arm falls through to the mailbox frames).
-const N_VARIANTS: usize = 40;
+/// Number of distinct frame constructors below (keep in sync; the last
+/// index is the fall-through arm).
+const N_VARIANTS: usize = 38;
+
+/// Wire tags of retired frames: whole-batch `MixBatch` (0x20),
+/// `HopOutput` (0x21) and `VerifyHop` (0x23), forwarding's
+/// `MixForward` (0x2C) and `HopForwarded` (0x2D), and the
+/// drain-everything mailbox fetch (0x51, 0x52).
+const RETIRED_TAGS: [u8; 7] = [0x20, 0x21, 0x23, 0x2C, 0x2D, 0x51, 0x52];
 
 /// A random well-formed frame of the chosen variant.
 fn arb_frame(rng: &mut StdRng, variant: usize) -> Frame {
@@ -196,42 +202,25 @@ fn arb_frame(rng: &mut StdRng, variant: usize) -> Frame {
             round: rng.next_u64(),
             submissions: (0..rng.gen_range(0..5)).map(|_| submission(rng)).collect(),
         },
-        10 => Frame::MixBatch {
-            round: rng.next_u64(),
-            entries: mix_entries(rng),
-        },
-        11 => Frame::HopOutput {
-            round: rng.next_u64(),
-            position: rng.gen_range(0..64u32),
-            outputs: mix_entries(rng),
-            proof: dleq(rng),
-        },
-        12 => Frame::HopFailure {
+        10 => Frame::HopFailure {
             round: rng.next_u64(),
             position: rng.gen_range(0..64u32),
             failed: (0..rng.gen_range(0..8)).map(|_| rng.next_u64()).collect(),
         },
-        13 => Frame::VerifyHop {
-            round: rng.next_u64(),
-            position: rng.gen_range(0..64u32),
-            inputs: mix_entries(rng),
-            outputs: mix_entries(rng),
-            proof: dleq(rng),
-        },
-        14 => Frame::VerifyResult {
+        11 => Frame::VerifyResult {
             ok: rng.gen_bool(0.5),
         },
-        15 => Frame::RevealInnerKey {
+        12 => Frame::RevealInnerKey {
             round: rng.next_u64(),
         },
-        16 => Frame::InnerKeyReveal {
+        13 => Frame::InnerKeyReveal {
             position: rng.gen_range(0..64u32),
             isk: scalar(rng),
         },
-        17 => Frame::PrepareRotation {
+        14 => Frame::PrepareRotation {
             inner_epoch: rng.next_u64(),
         },
-        18 => Frame::RotationShare {
+        15 => Frame::RotationShare {
             inner_epoch: rng.next_u64(),
             share: RotationShare {
                 position: rng.gen_range(0..64usize),
@@ -239,51 +228,48 @@ fn arb_frame(rng: &mut StdRng, variant: usize) -> Frame {
                 pok: schnorr(rng),
             },
         },
-        19 => Frame::ActivateRotation {
+        16 => Frame::ActivateRotation {
             keys: chain_keys(rng),
         },
-        20 => Frame::Accuse {
+        17 => Frame::Accuse {
             round: rng.next_u64(),
             input_index: rng.next_u64(),
         },
-        21 => Frame::Accusation {
+        18 => Frame::Accusation {
             accusation: accusation(rng),
         },
-        22 => Frame::RevealSlot {
+        19 => Frame::RevealSlot {
             round: rng.next_u64(),
             output_index: rng.next_u64(),
         },
-        23 => Frame::SlotReveal {
+        20 => Frame::SlotReveal {
             reveal: if rng.gen_bool(0.3) {
                 None
             } else {
                 Some(Box::new(blame_reveal(rng)))
             },
         },
-        24 => Frame::MixForward {
-            round: rng.next_u64(),
-        },
-        25 => Frame::MixBatchStart {
+        21 => Frame::MixBatchStart {
             round: rng.next_u64(),
             total: rng.gen_range(0..=xrd_net::codec::MAX_BATCH as u32),
         },
-        26 => Frame::MixBatchChunk {
+        22 => Frame::MixBatchChunk {
             entries: mix_entries(rng),
         },
-        27 => {
+        23 => {
             let mut digest = [0u8; 32];
             rng.fill_bytes(&mut digest);
             Frame::MixBatchEnd { digest }
         }
-        28 => Frame::HopOutputStart {
+        24 => Frame::HopOutputStart {
             round: rng.next_u64(),
             position: rng.gen_range(0..64u32),
             total: rng.gen_range(0..=xrd_net::codec::MAX_BATCH as u32),
         },
-        29 => Frame::HopOutputChunk {
+        25 => Frame::HopOutputChunk {
             entries: mix_entries(rng),
         },
-        30 => {
+        26 => {
             let mut digest = [0u8; 32];
             rng.fill_bytes(&mut digest);
             Frame::HopOutputEnd {
@@ -291,79 +277,70 @@ fn arb_frame(rng: &mut StdRng, variant: usize) -> Frame {
                 proof: dleq(rng),
             }
         }
-        31 => Frame::VerifyHopKeys {
+        27 => Frame::VerifyHopKeys {
             round: rng.next_u64(),
             position: rng.gen_range(0..64u32),
             input_dhs: (0..rng.gen_range(0..6)).map(|_| g(rng)).collect(),
             output_dhs: (0..rng.gen_range(0..6)).map(|_| g(rng)).collect(),
             proof: dleq(rng),
         },
-        32 => Frame::StatsRequest,
-        33 => Frame::StatsReport {
+        28 => Frame::StatsRequest,
+        29 => Frame::StatsReport {
             snapshot: Box::new(obs_snapshot(rng)),
         },
-        34 => Frame::DisputeOpen {
+        30 => Frame::DisputeOpen {
             round: rng.next_u64(),
             accused: rng.gen_range(0..64u32),
             input_dhs: (0..rng.gen_range(0..6)).map(|_| g(rng)).collect(),
             output_dhs: (0..rng.gen_range(0..6)).map(|_| g(rng)).collect(),
             proof: dleq(rng),
         },
-        35 => Frame::DisputeEvidence {
+        31 => Frame::DisputeEvidence {
             round: rng.next_u64(),
             position: rng.gen_range(0..64u32),
             accused: rng.gen_range(0..64u32),
             upheld: rng.gen_bool(0.5),
             sig: schnorr(rng),
         },
-        36 => Frame::DisputeVerdict {
+        32 => Frame::DisputeVerdict {
             round: rng.next_u64(),
             accused: rng.gen_range(0..64u32),
             claim: rng.gen_range(0..3u8),
             upheld: rng.gen_bool(0.5),
             votes: rng.gen_range(0..64u32),
         },
-        37 => Frame::HopForwarded {
+        33 => Frame::Pong,
+        34 => Frame::Deliver {
             round: rng.next_u64(),
-            position: rng.gen_range(0..64u32),
-            input_dhs: (0..rng.gen_range(0..6)).map(|_| g(rng)).collect(),
-            output_dhs: (0..rng.gen_range(0..6)).map(|_| g(rng)).collect(),
-            proof: dleq(rng),
+            batch: rng.next_u64(),
+            messages: (0..rng.gen_range(0..4))
+                .map(|_| mailbox_message(rng))
+                .collect(),
         },
-        38 => Frame::Pong,
-        _ => match variant % 4 {
-            0 => Frame::Deliver {
-                round: rng.next_u64(),
-                batch: rng.next_u64(),
-                messages: (0..rng.gen_range(0..4))
-                    .map(|_| mailbox_message(rng))
-                    .collect(),
-            },
-            1 => {
-                let mut mailbox = [0u8; 32];
-                rng.fill_bytes(&mut mailbox);
-                Frame::FetchPage {
-                    mailbox,
-                    cursor: rng.next_u64(),
-                    max: rng.gen_range(1..512u32),
-                }
+        35 => {
+            let mut mailbox = [0u8; 32];
+            rng.fill_bytes(&mut mailbox);
+            Frame::FetchPage {
+                mailbox,
+                cursor: rng.next_u64(),
+                max: rng.gen_range(1..512u32),
             }
-            2 => Frame::MailboxPage {
-                sealed: (0..rng.gen_range(0..4))
-                    .map(|_| (rng.next_u64(), mailbox_message(rng).sealed))
-                    .collect(),
-                next_cursor: rng.next_u64(),
-                remaining: rng.gen_range(0..1000u64),
-            },
-            _ => {
-                let mut mailbox = [0u8; 32];
-                rng.fill_bytes(&mut mailbox);
-                Frame::FetchAck {
-                    mailbox,
-                    upto: rng.next_u64(),
-                }
-            }
+        }
+        36 => Frame::MailboxPage {
+            sealed: (0..rng.gen_range(0..4))
+                .map(|_| (rng.next_u64(), mailbox_message(rng).sealed))
+                .collect(),
+            next_cursor: rng.next_u64(),
+            remaining: rng.gen_range(0..1000u64),
         },
+        _ => {
+            let mut mailbox = [0u8; 32];
+            rng.fill_bytes(&mut mailbox);
+            Frame::FetchAck {
+                mailbox,
+                upto: rng.next_u64(),
+            }
+        }
     }
 }
 
@@ -419,6 +396,21 @@ proptest! {
     #[test]
     fn fuzz_decode_never_panics(soup in prop::collection::vec(any::<u8>(), 0..256)) {
         let _ = Frame::decode(&soup);
+    }
+
+    /// A retired frame tag, whatever body follows it, is a typed
+    /// `UnknownTag` error — never a panic, never a misparse as some
+    /// other frame — and has no metrics name.
+    #[test]
+    fn retired_tags_are_typed_errors(
+        pick in any::<u64>(),
+        body in prop::collection::vec(any::<u8>(), 0..256),
+    ) {
+        let tag = RETIRED_TAGS[pick as usize % RETIRED_TAGS.len()];
+        let mut frame = vec![tag];
+        frame.extend_from_slice(&body);
+        prop_assert_eq!(Frame::decode(&frame), Err(CodecError::UnknownTag(tag)));
+        prop_assert!(Frame::tag_name(tag).is_none());
     }
 
     /// The incremental decoder agrees with one-shot decoding for any
@@ -508,9 +500,8 @@ fn unknown_tag_rejected() {
 
 #[test]
 fn oversized_sequence_rejected() {
-    // A MixBatch whose declared entry count exceeds MAX_BATCH.
-    let mut body = vec![0x20]; // TAG_MIX_BATCH
-    body.extend_from_slice(&7u64.to_le_bytes());
+    // A MixBatchChunk whose declared entry count exceeds MAX_BATCH.
+    let mut body = vec![0x26]; // TAG_MIX_BATCH_CHUNK
     body.extend_from_slice(&(u32::MAX).to_le_bytes());
     assert!(matches!(
         Frame::decode(&body),
@@ -597,7 +588,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Any chunking of a batch — down to 1-entry chunks — reassembles
-    /// to exactly the entries a monolithic `MixBatch` frame carries.
+    /// to exactly the entries a monolithic one-chunk stream carries.
     #[test]
     fn any_chunking_reassembles_to_the_monolithic_batch(
         seed in any::<u64>(),
@@ -611,12 +602,10 @@ proptest! {
         prop_assert_eq!(stream.total(), entries.len());
         prop_assert_eq!(reassemble(&stream).expect("clean stream"), entries.clone());
 
-        // The monolithic frame carries the identical batch.
-        let mono = Frame::MixBatch { round, entries: entries.clone() }.encode();
-        let Frame::MixBatch { entries: decoded, .. } =
-            Frame::decode(&mono[4..]).expect("monolithic decodes")
-        else { panic!("wrong frame") };
-        prop_assert_eq!(decoded, entries);
+        // The monolithic (one-chunk) stream carries the identical batch.
+        let mono = ChunkedBatch::build(round, &entries, entries.len());
+        prop_assert!(mono.frames().len() <= 3, "one chunk at most");
+        prop_assert_eq!(reassemble(&mono).expect("monolithic decodes"), entries);
     }
 
     /// Two different chunkings of the same batch close with the same

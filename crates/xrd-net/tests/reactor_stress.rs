@@ -19,7 +19,7 @@ use rand::SeedableRng;
 use xrd_mixnet::chain_keys::{generate_chain_keys, rotate_inner_keys};
 use xrd_net::codec::Frame;
 use xrd_net::swarm::reactor::{drive_sessions, raise_nofile_limit, DriveConfig, SubmitSession};
-use xrd_net::swarm::sealed_submissions;
+use xrd_net::swarm::{hop_request, read_hop_output, sealed_submissions};
 use xrd_net::{Conn, MixServerDaemon};
 
 /// Serializes the thread-count-sensitive tests.
@@ -291,8 +291,8 @@ fn churned_connections_leave_daemon_serving_and_thread_count_flat() {
 /// in flight on the daemon's worker pool, the reactor thread keeps
 /// serving — a submission fired mid-hop on another connection is
 /// verified and acknowledged long before the hop's response lands.
-/// The pre-offload daemon ran `MixBatch` crypto inline on the reactor
-/// thread, so the submission would have waited out the whole hop.
+/// The pre-offload daemon ran hop crypto inline on the reactor thread,
+/// so the submission would have waited out the whole hop.
 ///
 /// The O(1)-thread assertion is adjusted for the offload: the daemon
 /// may now hold its fixed-size worker pool (≤ 4 threads, spawned
@@ -342,10 +342,11 @@ fn submissions_served_while_hop_crypto_in_flight() {
         .request_ok(&Frame::OpenRound { round: 1 })
         .expect("window reopens");
 
-    // Fire the hop on one connection without reading its response…
+    // Fire the hop (the whole batch in one chunk) on one connection
+    // without reading its response…
     let hop_start = std::time::Instant::now();
     control
-        .send(&Frame::MixBatch { round: 0, entries })
+        .send_encoded(&hop_request(0, &entries))
         .expect("hop fires");
 
     // …and submit on another connection while the hop is in flight.
@@ -362,16 +363,14 @@ fn submissions_served_while_hop_crypto_in_flight() {
     let threads_mid_hop = process_threads();
 
     // Collect the hop.
-    match control.recv().expect("hop response") {
-        Frame::HopOutput { outputs, .. } => assert_eq!(outputs.len(), N),
-        other => panic!("expected HopOutput, got {other:?}"),
-    }
+    let (outputs, _) = read_hop_output(0, || control.recv()).expect("hop response");
+    assert_eq!(outputs.len(), N);
     let hop_elapsed = hop_start.elapsed();
 
     assert!(
         submit_elapsed < hop_elapsed / 2,
         "submission waited out the hop: submit {submit_elapsed:?} vs hop {hop_elapsed:?} \
-         — MixBatch crypto is blocking the reactor thread"
+         — hop crypto is blocking the reactor thread"
     );
 
     if let (Some(b), Some(mid)) = (baseline, threads_mid_hop) {

@@ -1,6 +1,7 @@
-//! End-to-end tests for the streamed hop pipeline: equivalence with
-//! the whole-batch path, full chain rounds over forced streaming
-//! (including blame), and the daemon's handling of malformed streams.
+//! End-to-end tests for the streamed hop pipeline — the only way a
+//! batch moves hop to hop: equivalence with the in-process hop, full
+//! chain rounds over multi-chunk pipelines (including blame and an
+//! empty batch), and the daemon's handling of malformed streams.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -8,10 +9,11 @@ use rand::SeedableRng;
 use xrd_core::{DeploymentConfig, User};
 use xrd_mixnet::chain_keys::{generate_chain_keys, rotate_inner_keys};
 use xrd_mixnet::message::MixEntry;
-use xrd_mixnet::server::verify_hop;
-use xrd_net::codec::{error_code, BatchAssembler, ChunkedBatch, Frame, StreamDigest};
-use xrd_net::{launch_local, run_swarm, Conn, MixServerDaemon, NetError, SwarmConfig, Transport};
-use xrd_topology::ChainId;
+use xrd_mixnet::server::{verify_hop, MixServer};
+use xrd_net::codec::{error_code, ChunkedBatch, Frame, StreamDigest, STREAM_CHUNK};
+use xrd_net::swarm::{hop_request, read_hop_output};
+use xrd_net::{launch_local, run_swarm, Conn, MixServerDaemon, NetError, SwarmConfig};
+use xrd_topology::{ChainId, Topology};
 
 /// Drive one daemon through a streamed hop and return its outputs and
 /// proof.
@@ -25,28 +27,30 @@ fn streamed_hop(
     for bytes in stream.frames() {
         conn.send_encoded(bytes)?;
     }
-    let total = match conn.recv()? {
-        Frame::HopOutputStart { total, .. } => total,
-        other => panic!("expected HopOutputStart, got {other:?}"),
-    };
-    let mut assembler = BatchAssembler::begin(round, total).expect("assembler");
-    loop {
-        match conn.recv()? {
-            Frame::HopOutputChunk { entries } => {
-                assembler.absorb(entries).expect("absorbs");
-            }
-            Frame::HopOutputEnd { digest, proof } => {
-                return Ok((assembler.finish(digest).expect("digest matches"), proof));
-            }
-            other => panic!("expected HopOutputChunk/End, got {other:?}"),
-        }
-    }
+    read_hop_output(round, || conn.recv())
 }
 
-/// The streamed path computes *exactly* the whole-batch hop: two
-/// daemons with identical secrets and rng seeds, one driven by a
-/// monolithic `MixBatch`, one by a chunk stream — identical shuffled
-/// outputs, both attestations verify.
+/// Users enough that every chain of `topo` receives more than
+/// `2 × STREAM_CHUNK` submissions per round — a real multi-chunk
+/// pipeline on every chain.
+fn users_past_two_chunks(rng: &mut StdRng, topo: &Topology) -> Vec<User> {
+    let mut per_chain = vec![0usize; topo.n_chains()];
+    let mut users = Vec::new();
+    while per_chain.iter().any(|&n| n <= 2 * STREAM_CHUNK) {
+        let user = User::new(rng);
+        for chain in topo.chains_of_user(&user.mailbox_id()) {
+            per_chain[chain.0 as usize] += 1;
+        }
+        users.push(user);
+    }
+    users
+}
+
+/// The streamed daemon hop computes *exactly* the whole-batch
+/// in-process hop: a daemon and an in-process [`MixServer`] with
+/// identical secrets and rng seeds — one fed the batch as a chunk
+/// stream, one handed it whole by `process_round` — produce
+/// byte-identical shuffled outputs and attestation, and it verifies.
 #[test]
 fn streamed_and_whole_batch_hops_agree() {
     let round = 0u64;
@@ -55,41 +59,30 @@ fn streamed_and_whole_batch_hops_agree() {
     rotate_inner_keys(&mut rng, &mut secrets, &mut public, round);
     let secrets = secrets.remove(0);
 
-    let whole = MixServerDaemon::spawn("127.0.0.1:0", secrets.clone(), public.clone(), 42)
-        .expect("whole daemon spawns");
-    let streamed = MixServerDaemon::spawn("127.0.0.1:0", secrets, public.clone(), 42)
+    let streamed = MixServerDaemon::spawn("127.0.0.1:0", secrets.clone(), public.clone(), 42)
         .expect("streamed daemon spawns");
 
     let subs = xrd_net::swarm::sealed_submissions(&mut rng, &public, round, 37);
     let entries: Vec<MixEntry> = subs.iter().map(|s| s.to_entry()).collect();
 
-    let mut whole_conn = Conn::connect(whole.addr()).expect("connects");
-    let (whole_out, whole_proof) = match whole_conn
-        .request(&Frame::MixBatch {
-            round,
-            entries: entries.clone(),
-        })
-        .expect("whole hop runs")
-    {
-        Frame::HopOutput { outputs, proof, .. } => (outputs, proof),
-        other => panic!("expected HopOutput, got {other:?}"),
-    };
+    let whole = MixServer::new(secrets, public.clone())
+        .process_round(&mut StdRng::seed_from_u64(42), round, entries.clone())
+        .expect("in-process hop runs");
 
     let mut streamed_conn = Conn::connect(streamed.addr()).expect("connects");
     let (streamed_out, streamed_proof) =
         streamed_hop(&mut streamed_conn, round, &entries, 5).expect("streamed hop runs");
 
     // Same rng seed, same rng consumption order (the kernel draws no
-    // randomness; only the shuffle and proof do): identical results.
-    assert_eq!(streamed_out, whole_out);
-    assert!(verify_hop(
-        &public,
-        0,
-        round,
-        &entries,
-        &whole_out,
-        &whole_proof
-    ));
+    // randomness; only the shuffle and proof do): identical bytes.
+    let encode = |outputs: &[MixEntry]| {
+        Frame::HopOutputChunk {
+            entries: outputs.to_vec(),
+        }
+        .encode()
+    };
+    assert_eq!(encode(&streamed_out), encode(&whole.outputs));
+    assert_eq!(streamed_proof.to_bytes(), whole.proof.to_bytes());
     assert!(verify_hop(
         &public,
         0,
@@ -100,25 +93,25 @@ fn streamed_and_whole_batch_hops_agree() {
     ));
 }
 
-/// A full networked deployment with streaming forced down to 4-entry
+/// A full networked deployment whose chains each mix more than two
 /// chunks: every round (mix, cross-verify, reveal, delivery, rotation)
-/// completes and every chat lands — the pipeline is a drop-in for the
-/// whole-batch path.
+/// completes and every chat lands through a real multi-chunk pipeline.
 #[test]
 fn streamed_chain_rounds_deliver() {
     let mut rng = StdRng::seed_from_u64(23);
     let config = DeploymentConfig::small(4, 3);
     let (mut cluster, mut deployment) = launch_local(&mut rng, &config).expect("cluster launches");
-    deployment.set_transport(Transport::Streamed { chunk: 4 });
+    // ℓ = 3 of the 4 chains per user: 4 × STREAM_CHUNK users put about
+    // 3 × STREAM_CHUNK entries on every chain.
+    let n_users = 4 * STREAM_CHUNK;
 
     let report = run_swarm(
         &mut rng,
         &mut deployment,
         &SwarmConfig {
-            n_users: 16,
+            n_users,
             rounds: 2,
             conversing_fraction: 0.5,
-            submit_workers: 4,
         },
     )
     .expect("streamed swarm round failed");
@@ -133,91 +126,19 @@ fn streamed_chain_rounds_deliver() {
     cluster.shutdown();
 }
 
-/// Daemon-to-daemon forwarding is a drop-in for the relayed paths: the
-/// coordinator streams the batch to hop 0 once, hops forward output
-/// chunks directly to their successors, and only keys-only
-/// attestations plus the last hop's stream come back — yet every
-/// round completes and every chat lands, across rotations.
-#[test]
-fn forwarded_chain_rounds_deliver() {
-    let mut rng = StdRng::seed_from_u64(29);
-    let config = DeploymentConfig::small(4, 3);
-    let (mut cluster, mut deployment) = launch_local(&mut rng, &config).expect("cluster launches");
-    deployment.set_transport(Transport::Forwarded { chunk: 8 });
-
-    let report = run_swarm(
-        &mut rng,
-        &mut deployment,
-        &SwarmConfig {
-            n_users: 16,
-            rounds: 2,
-            conversing_fraction: 0.5,
-            submit_workers: 4,
-        },
-    )
-    .expect("forwarded swarm round failed");
-    assert_eq!(report.rounds.len(), 2);
-    for round in &report.rounds {
-        assert!(
-            round.delivered > 0,
-            "round {} delivered nothing",
-            round.round
-        );
-    }
-    cluster.shutdown();
-}
-
-/// Forwarded mode cannot localize a bad onion (blame needs the full
-/// intermediate batches), so a decrypt failure mid-cascade must make
-/// the coordinator *fall back to relayed streaming*, where the §6.4
-/// trace convicts the injected submission and the honest messages all
-/// deliver — forwarding degrades, never loses a round.
-#[test]
-fn forwarded_falls_back_to_streaming_for_blame() {
-    let mut rng = StdRng::seed_from_u64(37);
-    let config = DeploymentConfig::small(4, 3);
-    let (mut cluster, mut deployment) = launch_local(&mut rng, &config).expect("cluster launches");
-    deployment.set_transport(Transport::Forwarded { chunk: 8 });
-    let ell = deployment.topology().ell();
-
-    let mut users: Vec<User> = (0..5).map(|_| User::new(&mut rng)).collect();
-    let bad = xrd_mixnet::testutil::malicious_submission(
-        &mut rng,
-        &deployment.chain_keys()[0],
-        0,
-        deployment.topology().chain_len() - 1,
-    );
-    deployment.inject_submission(ChainId(0), bad);
-
-    let (report, fetched) = deployment
-        .run_round(&mut rng, &mut users)
-        .expect("round failed");
-    assert!(report.aborted_chains.is_empty(), "no server is at fault");
-    assert_eq!(
-        report.malicious_by_chain.get(&0),
-        Some(&1),
-        "the injected submission is convicted on the fallback path"
-    );
-    assert_eq!(report.delivered, 5 * ell, "honest messages all survive");
-    for user in &users {
-        assert_eq!(fetched[&user.mailbox_id()].len(), ell);
-    }
-    cluster.shutdown();
-}
-
 /// Blame still works when the batch streams: a garbage onion triggers
-/// `HopFailure` out of a streamed session, the §6.4 trace convicts the
-/// injected submission, and the retried (streamed) pass delivers every
-/// honest message.
+/// `HopFailure` out of a multi-chunk streamed session, the §6.4 trace
+/// convicts the injected submission, and the retried (streamed) pass
+/// delivers every honest message.
 #[test]
 fn streamed_blame_removes_malicious_submission() {
     let mut rng = StdRng::seed_from_u64(4);
     let config = DeploymentConfig::small(4, 3);
     let (mut cluster, mut deployment) = launch_local(&mut rng, &config).expect("cluster launches");
-    deployment.set_transport(Transport::Streamed { chunk: 3 });
     let ell = deployment.topology().ell();
 
-    let mut users: Vec<User> = (0..5).map(|_| User::new(&mut rng)).collect();
+    let mut users = users_past_two_chunks(&mut rng, deployment.topology());
+    let n_users = users.len();
     let bad = xrd_mixnet::testutil::malicious_submission(
         &mut rng,
         &deployment.chain_keys()[0],
@@ -235,9 +156,49 @@ fn streamed_blame_removes_malicious_submission() {
         Some(&1),
         "the injected submission is convicted"
     );
-    assert_eq!(report.delivered, 5 * ell, "honest messages all survive");
+    assert_eq!(
+        report.delivered,
+        n_users * ell,
+        "honest messages all survive"
+    );
     for user in &users {
         assert_eq!(fetched[&user.mailbox_id()].len(), ell);
+    }
+    cluster.shutdown();
+}
+
+/// A chain that receives zero submissions completes its round on the
+/// streamed path — an empty stream through every hop, an empty
+/// end-of-chain audit, a reveal — and is never written off as failed.
+#[test]
+fn chain_with_no_submissions_completes_its_round() {
+    let mut rng = StdRng::seed_from_u64(61);
+    let config = DeploymentConfig::small(4, 3);
+    let (mut cluster, mut deployment) = launch_local(&mut rng, &config).expect("cluster launches");
+    let ell = deployment.topology().ell();
+
+    // One user sends to ℓ = 3 of the 4 chains: the rest stay empty.
+    let mut users = vec![User::new(&mut rng)];
+    let used = deployment
+        .topology()
+        .chains_of_user(&users[0].mailbox_id())
+        .to_vec();
+    assert!(
+        (0..deployment.topology().n_chains()).any(|c| !used.contains(&ChainId(c as u32))),
+        "some chain receives no submission"
+    );
+
+    for _ in 0..2 {
+        let (report, fetched) = deployment
+            .run_round(&mut rng, &mut users)
+            .expect("round completes");
+        assert!(
+            report.failed_chains.is_empty(),
+            "an empty chain is not a failed chain: {report:?}"
+        );
+        assert!(report.aborted_chains.is_empty());
+        assert_eq!(report.delivered, ell);
+        assert_eq!(fetched[&users[0].mailbox_id()].len(), ell);
     }
     cluster.shutdown();
 }
@@ -339,10 +300,7 @@ fn disconnect_while_hop_pending_leaves_daemon_serving() {
     // Fire a ~15ms hop and hang up without reading the response.
     let mut doomed = Conn::connect(daemon.addr()).expect("doomed connects");
     doomed
-        .send(&Frame::MixBatch {
-            round,
-            entries: entries.clone(),
-        })
+        .send_encoded(&hop_request(round, &entries))
         .expect("hop fires");
     drop(doomed);
 
@@ -380,22 +338,16 @@ fn half_closing_client_still_receives_deferred_response() {
 
     let mut stream = std::net::TcpStream::connect(daemon.addr()).expect("connects");
     stream
-        .write_all(
-            &Frame::MixBatch {
-                round,
-                entries: entries.clone(),
-            }
-            .encode(),
-        )
+        .write_all(&hop_request(round, &entries))
         .expect("hop fires");
     stream
         .shutdown(std::net::Shutdown::Write)
         .expect("half-close");
 
-    match xrd_net::codec::read_frame(&mut stream).expect("response readable") {
-        Some(Ok(Frame::HopOutput { outputs, proof, .. })) => {
-            assert!(verify_hop(&public, 0, round, &entries, &outputs, &proof));
-        }
-        other => panic!("expected HopOutput after half-close, got {other:?}"),
-    }
+    let next_frame = || match xrd_net::codec::read_frame(&mut stream) {
+        Ok(Some(Ok(frame))) => Ok(frame),
+        other => panic!("expected a hop output frame after half-close, got {other:?}"),
+    };
+    let (outputs, proof) = read_hop_output(round, next_frame).expect("hop output stream");
+    assert!(verify_hop(&public, 0, round, &entries, &outputs, &proof));
 }

@@ -47,7 +47,7 @@ fn stress(mut args: impl Iterator<Item = String>) {
         report.submit_elapsed, report.submits_per_sec
     );
     println!(
-        "mix hop  : {:>9.1?}  ({} entries whole-batch, attestation verified)",
+        "mix hop  : {:>9.1?}  ({} entries in one chunk, attestation verified)",
         report.hop_elapsed, report.accepted
     );
     println!(
@@ -120,7 +120,6 @@ fn main() {
             n_users,
             rounds,
             conversing_fraction: 0.5,
-            submit_workers: 8,
         },
     )
     .expect("loopback swarm round failed");
