@@ -11,7 +11,7 @@ use xrd_baselines::elgamal::{encrypt, mix_hop};
 use xrd_baselines::vshuffle::{prove_shuffle_workload, verify_shuffle_workload};
 use xrd_crypto::keys::KeyPair;
 use xrd_crypto::ristretto::GroupElement;
-use xrd_mixnet::client::seal_ahs;
+use xrd_mixnet::client::{seal_ahs, SealKeys};
 use xrd_mixnet::{
     generate_chain_keys, verify_hop, MailboxMessage, MixEntry, MixServer, PAYLOAD_LEN,
 };
@@ -21,13 +21,14 @@ fn batch_submissions(
     keys: &xrd_mixnet::ChainPublicKeys,
     n: usize,
 ) -> Vec<MixEntry> {
+    let keys = SealKeys::new(keys);
     (0..n)
         .map(|i| {
             let msg = MailboxMessage {
                 mailbox: [i as u8; 32],
                 sealed: vec![0u8; PAYLOAD_LEN + 16],
             };
-            seal_ahs(rng, keys, 0, &msg).to_entry()
+            seal_ahs(rng, &keys, 0, &msg).to_entry()
         })
         .collect()
 }

@@ -12,7 +12,7 @@ use xrd_crypto::nizk::{DleqBatchEntry, DleqProof, SchnorrBatchEntry, SchnorrProo
 use xrd_crypto::ristretto::{GroupElement, GroupTable};
 use xrd_crypto::scalar::Scalar;
 use xrd_mixnet::chain_keys::generate_chain_keys;
-use xrd_mixnet::client::seal_ahs;
+use xrd_mixnet::client::{seal_ahs, SealKeys};
 use xrd_mixnet::message::{MailboxMessage, MixEntry, PAYLOAD_LEN};
 use xrd_mixnet::MixServer;
 
@@ -298,13 +298,14 @@ fn bench_hop_end_to_end(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(5);
     let round = 1;
     let (secrets, public) = generate_chain_keys(&mut rng, 1, round);
+    let seal_keys = SealKeys::new(&public);
     let entries: Vec<MixEntry> = (0..BATCH)
         .map(|i| {
             let msg = MailboxMessage {
                 mailbox: [i as u8; 32],
                 sealed: vec![i as u8; PAYLOAD_LEN + xrd_crypto::TAG_LEN],
             };
-            seal_ahs(&mut rng, &public, round, &msg).to_entry()
+            seal_ahs(&mut rng, &seal_keys, round, &msg).to_entry()
         })
         .collect();
     let secrets = secrets.into_iter().next().unwrap();

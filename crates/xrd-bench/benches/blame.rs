@@ -6,7 +6,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use xrd_mixnet::blame::BlameVerdict;
-use xrd_mixnet::client::seal_ahs;
+use xrd_mixnet::client::{seal_ahs, SealKeys};
 use xrd_mixnet::testutil::malicious_submission;
 use xrd_mixnet::{run_blame, ChainRunner, MailboxMessage, MixError, PAYLOAD_LEN};
 
@@ -21,8 +21,9 @@ fn bench_blame(c: &mut Criterion) {
             mailbox: [1u8; 32],
             sealed: vec![0u8; PAYLOAD_LEN + 16],
         };
+        let seal_keys = SealKeys::new(chain.public());
         let mut subs: Vec<xrd_mixnet::Submission> = (0..8)
-            .map(|_| seal_ahs(&mut rng, chain.public(), round, &msg))
+            .map(|_| seal_ahs(&mut rng, &seal_keys, round, &msg))
             .collect();
         subs[3] = malicious_submission(&mut rng, chain.public(), round, k - 1);
 

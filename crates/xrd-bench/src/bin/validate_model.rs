@@ -16,6 +16,7 @@ use std::time::Instant;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use xrd_core::backend::{collect_submissions, CoverStore};
 use xrd_core::cost::{PipelineConfig, PipelineModel};
 use xrd_core::{Deployment, DeploymentConfig, User};
 use xrd_sim::{NetworkModel, ServerCompute};
@@ -65,15 +66,19 @@ fn main() {
     let real = start.elapsed().as_secs_f64() / rounds as f64;
     println!("  measured wall time per round: {real:.3} s (includes client sealing)");
 
-    // Client-side share: time the sealing alone (the model excludes it,
-    // matching the paper's methodology of pre-generating messages).
-    let keys = deployment.chain_keys().to_vec();
-    let topo2 = deployment.topology().clone();
+    // Client-side share: time the round's sealing alone, as the round
+    // runs it (the model excludes it, matching the paper's methodology
+    // of pre-generating messages).
     let start = Instant::now();
-    for user in users.iter() {
-        let _ = user.seal_round(&mut rng, &topo2, &keys, 999, false);
-        let _ = user.seal_round(&mut rng, &topo2, &keys, 999, true);
-    }
+    let _ = collect_submissions(
+        &mut rng,
+        deployment.topology(),
+        deployment.chain_keys(),
+        deployment.next_chain_keys(),
+        deployment.round(),
+        &mut CoverStore::new(),
+        &users,
+    );
     let sealing = start.elapsed().as_secs_f64();
     println!("  of which client sealing: {sealing:.3} s");
     let real_mixing = (real - sealing).max(0.0);

@@ -393,7 +393,7 @@ mod tests {
         // client actually produces.
         use rand::rngs::StdRng;
         use rand::SeedableRng;
-        use xrd_mixnet::client::seal_ahs;
+        use xrd_mixnet::client::{seal_ahs, SealKeys};
         use xrd_mixnet::{generate_chain_keys, MailboxMessage, PAYLOAD_LEN};
         let mut rng = StdRng::seed_from_u64(9);
         for k in [1usize, 2, 4, 8] {
@@ -402,7 +402,7 @@ mod tests {
                 mailbox: [1u8; 32],
                 sealed: vec![0u8; PAYLOAD_LEN + 16],
             };
-            let sub = seal_ahs(&mut rng, &keys, 0, &msg);
+            let sub = seal_ahs(&mut rng, &SealKeys::new(&keys), 0, &msg);
             assert_eq!(
                 sub.wire_len() as u64,
                 submission_wire_len(k),

@@ -283,7 +283,7 @@ impl Deployment {
         // Online users fetch and decrypt — the same paginated,
         // ack-driven walk the networked backend runs over the wire.
         let mailboxes = &mut self.mailboxes;
-        let fetched = open_fetched(&self.topo, round, users, |mailbox| {
+        let fetched = open_fetched(&self.topo, users, |mailbox| {
             drain(mailboxes, mailbox, FETCH_PAGE)
                 .map_err(|error| RoundError::Mailbox { round, error })
         })?;

@@ -23,7 +23,7 @@ use rand::RngCore;
 
 use xrd_crypto::aead::{aenc, round_nonce};
 use xrd_crypto::keys::KeyPair;
-use xrd_mixnet::client::seal_ahs;
+use xrd_mixnet::client::{seal_ahs, SealKeys};
 use xrd_mixnet::message::DOMAIN_MAILBOX;
 use xrd_mixnet::{
     generate_chain_keys, open_batch, MailboxMessage, MixEntry, MixServer, PAYLOAD_LEN,
@@ -142,6 +142,7 @@ pub fn play_game<R: RngCore + ?Sized>(
         let pairing = sample_pairing(rng, n_users);
 
         // Each user sends one message to her partner's mailbox.
+        let seal_keys = SealKeys::new(&public);
         let entries: Vec<MixEntry> = (0..n_users)
             .map(|i| {
                 let dest = pairing[i];
@@ -160,7 +161,7 @@ pub fn play_game<R: RngCore + ?Sized>(
                     mailbox: user_mailboxes[dest],
                     sealed,
                 };
-                seal_ahs(rng, &public, round, &msg).to_entry()
+                seal_ahs(rng, &seal_keys, round, &msg).to_entry()
             })
             .collect();
 

@@ -17,9 +17,8 @@ use xrd_crypto::aead::{adec, aenc, round_nonce};
 use xrd_crypto::kdf;
 use xrd_crypto::keys::KeyPair;
 use xrd_crypto::ristretto::GroupElement;
-use xrd_mixnet::client::{seal_ahs, Submission};
+use xrd_mixnet::client::{seal_ahs, SealKeys, Submission};
 use xrd_mixnet::message::{MailboxMessage, DOMAIN_MAILBOX};
-use xrd_mixnet::ChainPublicKeys;
 use xrd_topology::{ChainId, Topology};
 
 use crate::payload::Payload;
@@ -272,12 +271,13 @@ impl User {
     }
 
     /// Onion-encrypt a round's messages into per-chain submissions.
-    /// `chain_keys[c]` must be the public bundle of chain `c`.
+    /// `chain_keys[c]` must be the sealing tables of chain `c`'s public
+    /// bundle.
     pub fn seal_round<R: RngCore + ?Sized>(
         &self,
         rng: &mut R,
         topo: &Topology,
-        chain_keys: &[ChainPublicKeys],
+        chain_keys: &[SealKeys],
         round: u64,
         offline_cover: bool,
     ) -> Vec<(ChainId, Submission)> {
@@ -302,37 +302,41 @@ impl User {
         }
     }
 
-    /// Decrypt everything fetched from the mailbox.
-    pub fn open_mailbox(
-        &self,
-        topo: &Topology,
-        round: u64,
-        sealed_messages: &[Vec<u8>],
-    ) -> Vec<Received> {
+    /// Decrypt everything fetched from the mailbox.  Each entry is
+    /// `(delivery round, blob)`: mailbox sealing nonces are
+    /// round-scoped, so a user reconnecting after missed rounds opens
+    /// every entry with the round it was delivered in.
+    pub fn open_mailbox(&self, topo: &Topology, fetched: &[(u64, Vec<u8>)]) -> Vec<Received> {
         let my_chains = topo.chains_of_user(&self.pk_bytes);
-        sealed_messages
+        // Each partner's incoming conversation key, derived once for
+        // the whole fetch.
+        let incoming: Vec<([u8; 32], [u8; 32])> = self
+            .partners
             .iter()
-            .map(|sealed| {
-                // Each partner's incoming conversation key.
-                for peer in &self.partners {
-                    let key = self.conversation_key(peer, &self.keypair.pk);
-                    if let Some(pt) = adec(&key, &round_nonce(round, DOMAIN_MAILBOX), b"", sealed) {
+            .map(|peer| (peer.encode(), self.conversation_key(peer, &self.keypair.pk)))
+            .collect();
+        fetched
+            .iter()
+            .map(|(round, sealed)| {
+                let nonce = round_nonce(*round, DOMAIN_MAILBOX);
+                for (partner, key) in &incoming {
+                    if let Some(pt) = adec(key, &nonce, b"", sealed) {
                         return match Payload::decode(&pt) {
                             Some(Payload::Chat(data)) => Received::Chat {
-                                from: peer.encode(),
+                                from: *partner,
                                 data,
                             },
-                            Some(Payload::Offline) => Received::PartnerOffline {
-                                partner: peer.encode(),
-                            },
+                            Some(Payload::Offline) => {
+                                Received::PartnerOffline { partner: *partner }
+                            }
                             _ => Received::Opaque,
                         };
                     }
                 }
                 // Then each chain's loopback key.
                 for &chain in my_chains {
-                    let key = self.loopback_key(chain, round);
-                    if let Some(pt) = adec(&key, &round_nonce(round, DOMAIN_MAILBOX), b"", sealed) {
+                    let key = self.loopback_key(chain, *round);
+                    if let Some(pt) = adec(&key, &nonce, b"", sealed) {
                         return match Payload::decode(&pt) {
                             Some(Payload::Dummy) => Received::Loopback,
                             _ => Received::Opaque,
@@ -414,12 +418,12 @@ mod tests {
         alice.queue_chat(b"hi bob".to_vec());
 
         let msgs = alice.build_round_messages(&topo, 3, false);
-        let for_bob: Vec<Vec<u8>> = msgs
+        let for_bob: Vec<(u64, Vec<u8>)> = msgs
             .iter()
             .filter(|(_, m)| m.mailbox == bob.mailbox_id())
-            .map(|(_, m)| m.sealed.clone())
+            .map(|(_, m)| (3, m.sealed.clone()))
             .collect();
-        let got = bob.open_mailbox(&topo, 3, &for_bob);
+        let got = bob.open_mailbox(&topo, &for_bob);
         assert_eq!(got, vec![chat(&alice, b"hi bob")]);
     }
 
@@ -430,10 +434,10 @@ mod tests {
         let alice = User::new(&mut rng);
         let eve = User::new(&mut rng);
         let msgs = alice.build_round_messages(&topo, 5, false);
-        let sealed: Vec<Vec<u8>> = msgs.iter().map(|(_, m)| m.sealed.clone()).collect();
-        let alice_view = alice.open_mailbox(&topo, 5, &sealed);
+        let sealed: Vec<(u64, Vec<u8>)> = msgs.iter().map(|(_, m)| (5, m.sealed.clone())).collect();
+        let alice_view = alice.open_mailbox(&topo, &sealed);
         assert!(alice_view.iter().all(|r| *r == Received::Loopback));
-        let eve_view = eve.open_mailbox(&topo, 5, &sealed);
+        let eve_view = eve.open_mailbox(&topo, &sealed);
         assert!(eve_view.iter().all(|r| *r == Received::Opaque));
     }
 
@@ -446,13 +450,13 @@ mod tests {
         alice.start_conversation(bob.pk());
         bob.start_conversation(alice.pk());
         let covers = alice.build_round_messages(&topo, 7, true);
-        let for_bob: Vec<Vec<u8>> = covers
+        let for_bob: Vec<(u64, Vec<u8>)> = covers
             .iter()
             .filter(|(_, m)| m.mailbox == bob.mailbox_id())
-            .map(|(_, m)| m.sealed.clone())
+            .map(|(_, m)| (7, m.sealed.clone()))
             .collect();
         assert_eq!(for_bob.len(), 1);
-        let got = bob.open_mailbox(&topo, 7, &for_bob);
+        let got = bob.open_mailbox(&topo, &for_bob);
         assert_eq!(
             got,
             vec![Received::PartnerOffline {
@@ -478,9 +482,40 @@ mod tests {
         let topo = small_topo();
         let user = User::new(&mut rng);
         let msgs = user.build_round_messages(&topo, 1, false);
-        let sealed: Vec<Vec<u8>> = msgs.iter().map(|(_, m)| m.sealed.clone()).collect();
-        let wrong_round = user.open_mailbox(&topo, 2, &sealed);
+        let sealed: Vec<(u64, Vec<u8>)> = msgs.iter().map(|(_, m)| (2, m.sealed.clone())).collect();
+        let wrong_round = user.open_mailbox(&topo, &sealed);
         assert!(wrong_round.iter().all(|r| *r == Received::Opaque));
+    }
+
+    #[test]
+    fn one_fetch_opens_entries_of_several_rounds() {
+        // A reconnecting user's fetch spans delivery rounds: each entry
+        // opens under its own round, chats and loopbacks alike.
+        let mut rng = StdRng::seed_from_u64(12);
+        let topo = small_topo();
+        let mut alice = User::new(&mut rng);
+        let mut bob = User::new(&mut rng);
+        alice.start_conversation(bob.pk());
+        bob.start_conversation(alice.pk());
+        let mut fetched: Vec<(u64, Vec<u8>)> = Vec::new();
+        let mut want = Vec::new();
+        for round in [4u64, 5] {
+            alice.queue_chat(format!("r{round}").into_bytes());
+            for (_, m) in alice.build_round_messages(&topo, round, false) {
+                if m.mailbox == bob.mailbox_id() {
+                    fetched.push((round, m.sealed));
+                    want.push(chat(&alice, format!("r{round}").as_bytes()));
+                }
+            }
+            alice.mark_round_sent();
+            for (_, m) in bob.build_round_messages(&topo, round, false) {
+                if m.mailbox == bob.mailbox_id() {
+                    fetched.push((round, m.sealed));
+                    want.push(Received::Loopback);
+                }
+            }
+        }
+        assert_eq!(bob.open_mailbox(&topo, &fetched), want);
     }
 
     // ---- §9 multi-conversation extension ----
@@ -541,13 +576,13 @@ mod tests {
 
         let msgs = alice.build_round_messages(&topo, 0, false);
         for (i, p) in partners.iter().enumerate() {
-            let sealed: Vec<Vec<u8>> = msgs
+            let sealed: Vec<(u64, Vec<u8>)> = msgs
                 .iter()
                 .filter(|(_, m)| m.mailbox == p.mailbox_id())
-                .map(|(_, m)| m.sealed.clone())
+                .map(|(_, m)| (0, m.sealed.clone()))
                 .collect();
             assert_eq!(sealed.len(), 1);
-            let got = p.open_mailbox(&topo, 0, &sealed);
+            let got = p.open_mailbox(&topo, &sealed);
             assert_eq!(got, vec![chat(&alice, format!("to p{i}").as_bytes())]);
         }
     }

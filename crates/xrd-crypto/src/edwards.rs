@@ -16,10 +16,14 @@
 //! the *same* formulas over both backends in one build to compare them
 //! like for like.
 //!
-//! Three multiplication strategies coexist:
+//! Four multiplication strategies coexist:
 //!
 //! * [`EdwardsPoint::scalar_mul`] — constant-time-style signed radix-16
 //!   ladder with a masked table scan; safe for secret scalars.
+//! * [`FixedBaseTable`] — a doubling-free comb of all 64 radix-16
+//!   windows of a point many scalars are applied to: the basepoint
+//!   ([`EdwardsPoint::base_mul`]) and each round's chain keys in client
+//!   sealing.  Masked scans, so safe for secret scalars.
 //! * [`PointTable`] — a reusable signed radix-16 table of a fixed point,
 //!   batch-normalized to affine Niels form with one shared field
 //!   inversion ([`FieldElement::batch_invert`]); the AHS hop kernel
@@ -436,21 +440,7 @@ impl<F: FieldBackend> PointTable<F> {
     /// Build tables for a batch of points, sharing a single field
     /// inversion across every table's affine normalization.
     pub fn batch_new(points: &[EdwardsPoint<F>]) -> Vec<PointTable<F>> {
-        // Multiples in extended coordinates; even multiples come from
-        // the cheaper doubling pipeline.
-        let mut multiples: Vec<[EdwardsPoint<F>; 8]> = Vec::with_capacity(points.len());
-        for p in points {
-            let cached = p.to_projective_niels();
-            let mut row = [*p; 8];
-            row[1] = p.double(); // 2P
-            row[2] = row[1].add_projective_niels(&cached).to_extended(); // 3P
-            row[3] = row[1].double(); // 4P
-            row[4] = row[3].add_projective_niels(&cached).to_extended(); // 5P
-            row[5] = row[2].double(); // 6P
-            row[6] = row[5].add_projective_niels(&cached).to_extended(); // 7P
-            row[7] = row[3].double(); // 8P
-            multiples.push(row);
-        }
+        let multiples: Vec<[EdwardsPoint<F>; 8]> = points.iter().map(multiples_1_to_8).collect();
         // One inversion for all 8n Z coordinates.
         rows_to_affine_niels(&multiples)
             .into_iter()
@@ -458,16 +448,9 @@ impl<F: FieldBackend> PointTable<F> {
             .collect()
     }
 
-    /// Masked scan for digit `d` in `[-8, 8)`: uniform access pattern,
-    /// accumulating `mask AND limb` over every entry (plus the identity).
     #[inline(always)]
     fn select(&self, d: i8) -> AffineNielsPoint<F> {
-        let (sign, abs) = digit_sign_abs(d);
-        let mut chosen = AffineNielsPoint::IDENTITY.masked(ct_eq_index(0, abs));
-        for (j, entry) in self.entries.iter().enumerate() {
-            chosen.accumulate(entry, ct_eq_index(j as u64 + 1, abs));
-        }
-        chosen.conditional_negate(sign)
+        select_affine(&self.entries, d)
     }
 
     /// `scalar * P` off the precomputed table (constant-time-style).
@@ -509,6 +492,96 @@ impl<F: FieldBackend> PointTable<F> {
             );
         }
         (ca.to_extended(), cb.to_extended())
+    }
+}
+
+/// Masked scan of a row `[1P, ..., 8P]` for digit `d` in `[-8, 8]`:
+/// uniform access pattern, accumulating `mask AND limb` over every
+/// entry (plus the identity) so exactly one all-ones mask contributes.
+#[inline(always)]
+fn select_affine<F: FieldBackend>(row: &[AffineNielsPoint<F>; 8], d: i8) -> AffineNielsPoint<F> {
+    let (sign, abs) = digit_sign_abs(d);
+    let mut chosen = AffineNielsPoint::IDENTITY.masked(ct_eq_index(0, abs));
+    for (j, entry) in row.iter().enumerate() {
+        chosen.accumulate(entry, ct_eq_index(j as u64 + 1, abs));
+    }
+    chosen.conditional_negate(sign)
+}
+
+/// `[1P, ..., 8P]` in extended coordinates; the even multiples come
+/// from the cheaper doubling pipeline.
+fn multiples_1_to_8<F: FieldBackend>(p: &EdwardsPoint<F>) -> [EdwardsPoint<F>; 8] {
+    let cached = p.to_projective_niels();
+    let mut row = [*p; 8];
+    row[1] = p.double(); // 2P
+    row[2] = row[1].add_projective_niels(&cached).to_extended(); // 3P
+    row[3] = row[1].double(); // 4P
+    row[4] = row[3].add_projective_niels(&cached).to_extended(); // 5P
+    row[5] = row[2].double(); // 6P
+    row[6] = row[5].add_projective_niels(&cached).to_extended(); // 7P
+    row[7] = row[3].double(); // 8P
+    row
+}
+
+/// A fixed-base comb table of one point `P`: `windows[i][j] =
+/// (j+1) * 16^i * P` for the 64 signed radix-16 digit positions, in
+/// affine Niels form.
+///
+/// A multiplication off the table needs no doublings at all: one
+/// masked scan and one 3-mul affine addition per digit.  That makes it
+/// the right shape for a point many secret scalars are applied to —
+/// the basepoint ([`EdwardsPoint::base_mul`]) and, in client sealing,
+/// each round's chain keys `mpk_i` and aggregate inner key, which
+/// every user raises to her own `x` and `y`.  Building one costs about
+/// three variable-base multiplications plus (a share of) one field
+/// inversion; [`FixedBaseTable::batch_new`] normalizes a whole batch
+/// with a single inversion.  Scans are masked (uniform access
+/// pattern), so secret scalars are safe here.
+pub struct FixedBaseTable<F: FieldBackend = FieldElement> {
+    windows: Vec<[AffineNielsPoint<F>; 8]>,
+}
+
+impl<F: FieldBackend> FixedBaseTable<F> {
+    /// Build the table for one point (one field inversion; prefer
+    /// [`FixedBaseTable::batch_new`] for more than one point).
+    pub fn new(point: &EdwardsPoint<F>) -> FixedBaseTable<F> {
+        FixedBaseTable::batch_new(std::slice::from_ref(point))
+            .pop()
+            .expect("one table per point")
+    }
+
+    /// Build tables for a batch of points, sharing a single field
+    /// inversion across every table's affine normalization.
+    pub fn batch_new(points: &[EdwardsPoint<F>]) -> Vec<FixedBaseTable<F>> {
+        // All 64 rows of every point in extended coordinates first...
+        let mut rows: Vec<[EdwardsPoint<F>; 8]> = Vec::with_capacity(64 * points.len());
+        for p in points {
+            let mut base = *p;
+            for _ in 0..64 {
+                let row = multiples_1_to_8(&base);
+                // 16 * base = 2 * (8 * base) for the next digit position.
+                base = row[7].double();
+                rows.push(row);
+            }
+        }
+        // ...then one batched normalization for all of them.
+        let mut windows = rows_to_affine_niels(&rows).into_iter();
+        points
+            .iter()
+            .map(|_| FixedBaseTable {
+                windows: windows.by_ref().take(64).collect(),
+            })
+            .collect()
+    }
+
+    /// `scalar * P` off the table (constant-time-style scans).
+    pub fn scalar_mul(&self, scalar: &Scalar) -> EdwardsPoint<F> {
+        let digits = scalar.to_radix_16();
+        let mut acc = EdwardsPoint::identity();
+        for (row, &d) in self.windows.iter().zip(digits.iter()) {
+            acc = acc.add_affine_niels(&select_affine(row, d)).to_extended();
+        }
+        acc
     }
 }
 
@@ -841,26 +914,14 @@ impl EdwardsPoint {
         })
     }
 
-    /// `scalar * basepoint`, using a precomputed radix-16 table (no
-    /// doublings: 64 table lookups + affine Niels additions).  This is
-    /// the hot operation of client sealing (`g^x`, `g^y`, proof
-    /// commitments).
+    /// `scalar * basepoint`, off the basepoint's [`FixedBaseTable`]
+    /// (built once per process).  This is the hot operation of client
+    /// sealing (`g^x`, `g^y`, proof commitments).
     pub fn base_mul(scalar: &Scalar) -> EdwardsPoint {
-        let table = basepoint_table();
-        let digits = scalar.to_radix_16();
-        let mut acc = EdwardsPoint::identity();
-        for (window, &d) in digits.iter().enumerate() {
-            let (sign, abs) = digit_sign_abs(d);
-            let row = &table.windows[window];
-            let mut chosen = AffineNielsPoint::IDENTITY.masked(ct_eq_index(0, abs));
-            for (j, entry) in row.iter().enumerate() {
-                chosen.accumulate(entry, ct_eq_index(j as u64 + 1, abs));
-            }
-            acc = acc
-                .add_affine_niels(&chosen.conditional_negate(sign))
-                .to_extended();
-        }
-        acc
+        static TABLE: OnceLock<FixedBaseTable> = OnceLock::new();
+        TABLE
+            .get_or_init(|| FixedBaseTable::new(EdwardsPoint::basepoint()))
+            .scalar_mul(scalar)
     }
 }
 
@@ -1028,36 +1089,6 @@ fn vartime_pippenger<F: FieldBackend>(
     total
 }
 
-/// Precomputed multiples of the basepoint in affine Niels form:
-/// `windows[i][j] = (j+1) * 16^i * B` for the 64 radix-16 digit
-/// positions, normalized with a single shared inversion.
-struct BasepointTable {
-    windows: Vec<[AffineNielsPoint; 8]>,
-}
-
-fn basepoint_table() -> &'static BasepointTable {
-    static TABLE: OnceLock<BasepointTable> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        // All 64*8 multiples in extended coordinates first...
-        let mut rows: Vec<[EdwardsPoint; 8]> = Vec::with_capacity(64);
-        let mut base = *EdwardsPoint::basepoint();
-        for _ in 0..64 {
-            let cached = base.to_projective_niels();
-            let mut row = [base; 8];
-            for j in 1..8 {
-                row[j] = row[j - 1].add_projective_niels(&cached).to_extended();
-            }
-            rows.push(row);
-            // base = 16 * base for the next digit position.
-            base = base.mul_by_pow_2(4);
-        }
-        // ...then one batched normalization for the whole table.
-        BasepointTable {
-            windows: rows_to_affine_niels(&rows),
-        }
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1183,6 +1214,43 @@ mod tests {
         let (z, o) = table.scalar_mul_pair(&Scalar::ZERO, &Scalar::ONE);
         assert!(z.is_identity());
         assert!(o.ct_eq(&p));
+    }
+
+    /// The fixed-base comb against both variable-base ladders, on one
+    /// field backend: random points and scalars, the scalars 0, 1 and
+    /// ℓ−1, and the identity point, for tables built alone and batched.
+    fn fixed_base_table_agrees<F: FieldBackend>(seed: u64) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let point = |rng: &mut StdRng| -> EdwardsPoint<F> {
+            let enc = EdwardsPoint::basepoint()
+                .scalar_mul(&Scalar::random(rng))
+                .compress();
+            EdwardsPoint::decompress(&enc).expect("valid point")
+        };
+        let mut points: Vec<EdwardsPoint<F>> = (0..3).map(|_| point(&mut rng)).collect();
+        points.push(EdwardsPoint::identity());
+        let mut scalars: Vec<Scalar> = (0..4).map(|_| Scalar::random(&mut rng)).collect();
+        scalars.extend([Scalar::ZERO, Scalar::ONE, Scalar::ZERO.sub(&Scalar::ONE)]);
+        let batched = FixedBaseTable::batch_new(&points);
+        for (p, table) in points.iter().zip(&batched) {
+            let alone = FixedBaseTable::new(p);
+            for s in &scalars {
+                let want = p.scalar_mul(s);
+                assert!(want.ct_eq(&p.scalar_mul_reference(s)));
+                let got = table.scalar_mul(s);
+                assert!(got.ct_eq(&want), "batched table disagrees");
+                assert!(alone.scalar_mul(s).ct_eq(&want), "lone table disagrees");
+                assert_eq!(got.compress(), want.compress());
+            }
+        }
+    }
+
+    #[test]
+    fn fixed_base_table_matches_variable_base() {
+        use crate::field::{fiat51, sat64};
+        fixed_base_table_agrees::<FieldElement>(31);
+        fixed_base_table_agrees::<fiat51::FieldElement>(32);
+        fixed_base_table_agrees::<sat64::FieldElement>(33);
     }
 
     #[test]

@@ -11,7 +11,7 @@ use std::sync::OnceLock;
 
 use rand::RngCore;
 
-use crate::edwards::{edwards_d, EdwardsPoint, PointTable};
+use crate::edwards::{edwards_d, EdwardsPoint, FixedBaseTable, PointTable};
 use crate::field::FieldElement;
 use crate::scalar::Scalar;
 
@@ -320,6 +320,40 @@ impl GroupTable {
     pub fn mul_pair(&self, a: &Scalar, b: &Scalar) -> (GroupElement, GroupElement) {
         let (pa, pb) = self.0.scalar_mul_pair(a, b);
         (GroupElement(pa), GroupElement(pb))
+    }
+}
+
+/// A fixed-base comb table of a group element (wrapping
+/// [`FixedBaseTable`]): `P^x` with no doublings, for an element many
+/// secret exponents are applied to.
+///
+/// Client sealing (§6.2) raises the same chain keys `mpk_1..mpk_k` and
+/// aggregate inner key to every user's `x` and `y`, so a round builds
+/// one table per key (batched with [`GroupBaseTable::batch_new`]) and
+/// every seal runs off them.  Scans stay masked, so secret exponents
+/// are safe here.
+pub struct GroupBaseTable(FixedBaseTable);
+
+impl GroupBaseTable {
+    /// Precompute the table for one element (prefer
+    /// [`GroupBaseTable::batch_new`] for several).
+    pub fn new(point: &GroupElement) -> GroupBaseTable {
+        GroupBaseTable(FixedBaseTable::new(&point.0))
+    }
+
+    /// Precompute tables for a batch of elements with one shared field
+    /// inversion.
+    pub fn batch_new(points: &[GroupElement]) -> Vec<GroupBaseTable> {
+        let inner: Vec<EdwardsPoint> = points.iter().map(|p| p.0).collect();
+        FixedBaseTable::batch_new(&inner)
+            .into_iter()
+            .map(GroupBaseTable)
+            .collect()
+    }
+
+    /// `P^x` off the table (constant-time-style scans).
+    pub fn mul(&self, x: &Scalar) -> GroupElement {
+        GroupElement(self.0.scalar_mul(x))
     }
 }
 

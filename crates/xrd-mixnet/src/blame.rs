@@ -333,7 +333,7 @@ pub fn run_blame<R: RngCore + ?Sized>(
 mod tests {
     use super::*;
     use crate::chain_keys::generate_chain_keys;
-    use crate::client::seal_ahs;
+    use crate::client::{seal_ahs, SealKeys};
     use crate::message::{MailboxMessage, PAYLOAD_LEN};
     use crate::server::MixError;
     use rand::rngs::StdRng;
@@ -360,8 +360,9 @@ mod tests {
 
     fn harness(rng: &mut StdRng, k: usize, round: u64, n_honest: usize) -> ChainHarness {
         let (secrets, public) = generate_chain_keys(rng, k, round);
+        let seal_keys = SealKeys::new(&public);
         let subs: Vec<Submission> = (0..n_honest)
-            .map(|i| seal_ahs(rng, &public, round, &msg(i as u8)))
+            .map(|i| seal_ahs(rng, &seal_keys, round, &msg(i as u8)))
             .collect();
         let servers = secrets
             .into_iter()

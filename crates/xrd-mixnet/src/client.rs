@@ -6,6 +6,8 @@
 //!   exponent `x` shared across all outer layers (so servers can blind
 //!   and verify aggregates), an inner envelope encrypted to the product
 //!   of the per-round inner keys, and a NIZK proving knowledge of `x`.
+//!   It seals off a chain's [`SealKeys`]: fixed-base tables of the
+//!   chain's keys, built once per bundle and shared by every seal.
 //! * [`seal_basic`] — the baseline Algorithm 2 onion (fresh DH key per
 //!   layer, no proofs), kept for the protocol ablation and as the
 //!   passive-adversary baseline of §5.
@@ -18,7 +20,7 @@ use rand::RngCore;
 use xrd_crypto::aead::{aenc, round_nonce};
 use xrd_crypto::kdf;
 use xrd_crypto::nizk::SchnorrProof;
-use xrd_crypto::ristretto::GroupElement;
+use xrd_crypto::ristretto::{GroupBaseTable, GroupElement};
 use xrd_crypto::scalar::Scalar;
 use xrd_crypto::SCHNORR_PROOF_LEN;
 
@@ -122,20 +124,65 @@ pub(crate) fn inner_key(shared: &GroupElement, round: u64) -> [u8; 32] {
     kdf::derive_from_dh("xrd/inner-envelope", shared, &round.to_le_bytes())
 }
 
-/// AHS onion-encryption (§6.2): seal `msg` for the chain described by
-/// `keys`, for round `round`.
+/// One chain's public keys in the shape sealing wants: a fixed-base
+/// table of each mixing key `mpk_1..mpk_k` and of the aggregate inner
+/// key `∏ ipk_i`.
+///
+/// Every user seals against the same keys with her own secret `x` and
+/// `y`, so the tables are built once per key bundle (one batched field
+/// inversion for all `k + 1` of them) and each seal's `k + 1`
+/// exponentiations become doubling-free table walks.  A client that
+/// keeps its tables across rounds re-tables only the per-round inner
+/// key ([`SealKeys::refresh`]): the mixing keys are long-term.
+pub struct SealKeys {
+    /// `mpk_1, …, mpk_k`, the keys the tables below were built from.
+    mpk_points: Vec<GroupElement>,
+    /// Tables of `mpk_1, …, mpk_k`.
+    mpks: Vec<GroupBaseTable>,
+    /// Table of `∏ ipk_i`.
+    inner: GroupBaseTable,
+}
+
+impl SealKeys {
+    /// Build the tables for one chain's key bundle.
+    pub fn new(keys: &ChainPublicKeys) -> SealKeys {
+        let mut points = keys.mpks.clone();
+        points.push(keys.aggregate_inner_key());
+        let mut mpks = GroupBaseTable::batch_new(&points);
+        let inner = mpks.pop().expect("one table per key");
+        SealKeys {
+            mpk_points: keys.mpks.clone(),
+            mpks,
+            inner,
+        }
+    }
+
+    /// Re-key to `keys`, a later bundle: when it carries the same
+    /// mixing keys (same chain, same long-term epoch) only the
+    /// aggregate inner key's table is rebuilt, otherwise all of them.
+    pub fn refresh(&mut self, keys: &ChainPublicKeys) {
+        if self.mpk_points == keys.mpks {
+            self.inner = GroupBaseTable::new(&keys.aggregate_inner_key());
+        } else {
+            *self = SealKeys::new(keys);
+        }
+    }
+}
+
+/// AHS onion-encryption (§6.2): seal `msg` for the chain whose keys
+/// `keys` holds, for round `round`.
 pub fn seal_ahs<R: RngCore + ?Sized>(
     rng: &mut R,
-    keys: &ChainPublicKeys,
+    keys: &SealKeys,
     round: u64,
     msg: &MailboxMessage,
 ) -> Submission {
-    let k = keys.len();
+    let k = keys.mpks.len();
     assert!(k >= 1, "chain must have at least one server");
 
     // Inner envelope: e = (g^y, AEnc(DH(∏ipk, y), ρ, m)).
     let y = Scalar::random(rng);
-    let shared_inner = keys.aggregate_inner_key().mul(&y);
+    let shared_inner = keys.inner.mul(&y);
     let mut ct = Vec::with_capacity(inner_envelope_len());
     ct.extend_from_slice(&GroupElement::base_mul(&y).encode());
     ct.extend_from_slice(&aenc(
@@ -218,6 +265,7 @@ mod tests {
     fn ahs_submission_has_fixed_size() {
         let mut rng = StdRng::seed_from_u64(1);
         let (_, keys) = generate_chain_keys(&mut rng, 4, 3);
+        let keys = SealKeys::new(&keys);
         let s1 = seal_ahs(&mut rng, &keys, 3, &test_msg());
         let other = MailboxMessage {
             mailbox: [9u8; 32],
@@ -232,6 +280,7 @@ mod tests {
     fn pok_verifies_and_binds_round() {
         let mut rng = StdRng::seed_from_u64(2);
         let (_, keys) = generate_chain_keys(&mut rng, 3, 0);
+        let keys = SealKeys::new(&keys);
         let s = seal_ahs(&mut rng, &keys, 7, &test_msg());
         assert!(s.verify_pok(7));
         assert!(!s.verify_pok(8));
@@ -244,6 +293,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let k = 3;
         let (secrets, keys) = generate_chain_keys(&mut rng, k, 5);
+        let keys = SealKeys::new(&keys);
         let msg = test_msg();
         let s = seal_ahs(&mut rng, &keys, 5, &msg);
 
@@ -312,6 +362,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(6);
         let k = 3;
         let (_, keys) = generate_chain_keys(&mut rng, k, 0);
+        let keys = SealKeys::new(&keys);
         let s = seal_ahs(&mut rng, &keys, 0, &test_msg());
         let bytes = s.to_bytes();
         assert_eq!(bytes.len(), s.wire_len());
@@ -332,9 +383,66 @@ mod tests {
         // Two submissions of the same message are entirely different.
         let mut rng = StdRng::seed_from_u64(5);
         let (_, keys) = generate_chain_keys(&mut rng, 2, 0);
+        let keys = SealKeys::new(&keys);
         let s1 = seal_ahs(&mut rng, &keys, 0, &test_msg());
         let s2 = seal_ahs(&mut rng, &keys, 0, &test_msg());
         assert_ne!(s1.ct, s2.ct);
         assert_ne!(s1.dh, s2.dh);
+    }
+
+    #[test]
+    fn refreshed_keys_seal_like_fresh_ones() {
+        let mut rng = StdRng::seed_from_u64(14);
+        let (mut secrets, mut public) = generate_chain_keys(&mut rng, 3, 0);
+        let (_, other_chain) = generate_chain_keys(&mut rng, 3, 0);
+        let mut keys = SealKeys::new(&public);
+        for inner_epoch in 1..3 {
+            // Same chain, next round's inner keys: only the inner table
+            // is rebuilt.
+            crate::chain_keys::rotate_inner_keys(&mut rng, &mut secrets, &mut public, inner_epoch);
+            keys.refresh(&public);
+            let got = seal_ahs(
+                &mut StdRng::seed_from_u64(inner_epoch),
+                &keys,
+                0,
+                &test_msg(),
+            );
+            let want = seal_ahs(
+                &mut StdRng::seed_from_u64(inner_epoch),
+                &SealKeys::new(&public),
+                0,
+                &test_msg(),
+            );
+            assert_eq!(got, want);
+        }
+        // Another chain's bundle: every table is rebuilt.
+        keys.refresh(&other_chain);
+        let got = seal_ahs(&mut StdRng::seed_from_u64(9), &keys, 0, &test_msg());
+        let want = seal_ahs(
+            &mut StdRng::seed_from_u64(9),
+            &SealKeys::new(&other_chain),
+            0,
+            &test_msg(),
+        );
+        assert_eq!(got, want);
+    }
+
+    /// Seals are pinned byte for byte: the digest below was produced by
+    /// the variable-base seal (`mpk_i^x` and `(∏ ipk_i)^y` by the
+    /// generic ladder) that the fixed-base tables replaced, from the
+    /// same RNG stream.
+    #[test]
+    fn seal_bytes_are_pinned() {
+        let mut rng = StdRng::seed_from_u64(13);
+        let (_, keys) = generate_chain_keys(&mut rng, 3, 0);
+        let keys = SealKeys::new(&keys);
+        let mut wire = Vec::new();
+        for round in 0..4u64 {
+            wire.extend(seal_ahs(&mut rng, &keys, round, &test_msg()).to_bytes());
+        }
+        assert_eq!(
+            xrd_crypto::util::to_hex(&xrd_crypto::blake2b_256(&wire)),
+            "72efdd572250b5c55fc39391e9b5e93363830ec9e37a7eaef496fb6c03bffd48"
+        );
     }
 }

@@ -316,7 +316,7 @@ enum MixPassResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::client::seal_ahs;
+    use crate::client::{seal_ahs, SealKeys};
     use crate::message::PAYLOAD_LEN;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -334,9 +334,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let mut chain = ChainRunner::new(&mut rng, 3, 0);
         let msgs: Vec<MailboxMessage> = (0..10).map(msg).collect();
+        let seal_keys = SealKeys::new(chain.public());
         let subs: Vec<Submission> = msgs
             .iter()
-            .map(|m| seal_ahs(&mut rng, chain.public(), 0, m))
+            .map(|m| seal_ahs(&mut rng, &seal_keys, 0, m))
             .collect();
         let outcome = chain.run_round(&mut rng, 0, &subs);
         assert!(outcome.malicious_users.is_empty());
@@ -356,11 +357,12 @@ mod tests {
     fn bad_pok_is_rejected_without_blame() {
         let mut rng = StdRng::seed_from_u64(2);
         let mut chain = ChainRunner::new(&mut rng, 2, 1);
+        let seal_keys = SealKeys::new(chain.public());
         let mut subs: Vec<Submission> = (0..4)
-            .map(|i| seal_ahs(&mut rng, chain.public(), 1, &msg(i)))
+            .map(|i| seal_ahs(&mut rng, &seal_keys, 1, &msg(i)))
             .collect();
         // Replay a PoK from the wrong round: invalid.
-        subs[1] = seal_ahs(&mut rng, chain.public(), 99, &msg(1));
+        subs[1] = seal_ahs(&mut rng, &seal_keys, 99, &msg(1));
         let outcome = chain.run_round(&mut rng, 1, &subs);
         assert_eq!(outcome.stats.rejected_pok, 1);
         assert_eq!(outcome.malicious_users, vec![1]);
@@ -373,8 +375,9 @@ mod tests {
     fn malicious_submission_removed_and_rest_delivered() {
         let mut rng = StdRng::seed_from_u64(3);
         let mut chain = ChainRunner::new(&mut rng, 3, 2);
+        let seal_keys = SealKeys::new(chain.public());
         let mut subs: Vec<Submission> = (0..6)
-            .map(|i| seal_ahs(&mut rng, chain.public(), 2, &msg(i)))
+            .map(|i| seal_ahs(&mut rng, &seal_keys, 2, &msg(i)))
             .collect();
         // Corrupt user 4's ciphertext (valid PoK, garbage onion).
         subs[4].ct[10] ^= 0x55;
@@ -390,8 +393,9 @@ mod tests {
     fn many_malicious_users_removed_iteratively() {
         let mut rng = StdRng::seed_from_u64(4);
         let mut chain = ChainRunner::new(&mut rng, 2, 3);
+        let seal_keys = SealKeys::new(chain.public());
         let mut subs: Vec<Submission> = (0..8)
-            .map(|i| seal_ahs(&mut rng, chain.public(), 3, &msg(i)))
+            .map(|i| seal_ahs(&mut rng, &seal_keys, 3, &msg(i)))
             .collect();
         for &i in &[1usize, 3, 6] {
             subs[i].ct[0] ^= 0xff;
@@ -419,8 +423,9 @@ mod tests {
         for round in 0..3u64 {
             chain.rotate_inner_keys(&mut rng, round);
             assert!(chain.public().verify(), "round {round} keys verify");
+            let seal_keys = SealKeys::new(chain.public());
             let subs: Vec<Submission> = (0..4)
-                .map(|i| seal_ahs(&mut rng, chain.public(), round, &msg(i)))
+                .map(|i| seal_ahs(&mut rng, &seal_keys, round, &msg(i)))
                 .collect();
             let outcome = chain.run_round(&mut rng, round, &subs);
             assert_eq!(outcome.delivered.len(), 4, "round {round}");
@@ -449,8 +454,9 @@ mod tests {
     fn single_server_chain_works() {
         let mut rng = StdRng::seed_from_u64(6);
         let mut chain = ChainRunner::new(&mut rng, 1, 0);
+        let seal_keys = SealKeys::new(chain.public());
         let subs: Vec<Submission> = (0..3)
-            .map(|i| seal_ahs(&mut rng, chain.public(), 0, &msg(i)))
+            .map(|i| seal_ahs(&mut rng, &seal_keys, 0, &msg(i)))
             .collect();
         let outcome = chain.run_round(&mut rng, 0, &subs);
         assert_eq!(outcome.delivered.len(), 3);

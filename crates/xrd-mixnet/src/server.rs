@@ -607,7 +607,7 @@ pub fn input_digest(entries: &[MixEntry]) -> [u8; 32] {
 mod tests {
     use super::*;
     use crate::chain_keys::generate_chain_keys;
-    use crate::client::{seal_ahs, Submission};
+    use crate::client::{seal_ahs, SealKeys, Submission};
     use crate::message::{MAILBOX_MSG_LEN, PAYLOAD_LEN};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -627,9 +627,10 @@ mod tests {
         let round = 9;
         let (secrets, public) = generate_chain_keys(&mut rng, k, round);
         let msgs: Vec<MailboxMessage> = (0..8).map(|i| msg(i as u8)).collect();
+        let seal_keys = SealKeys::new(&public);
         let subs: Vec<Submission> = msgs
             .iter()
-            .map(|m| seal_ahs(&mut rng, &public, round, m))
+            .map(|m| seal_ahs(&mut rng, &seal_keys, round, m))
             .collect();
 
         let mut servers: Vec<MixServer> = secrets
@@ -674,8 +675,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let round = 1;
         let (secrets, public) = generate_chain_keys(&mut rng, 1, round);
+        let seal_keys = SealKeys::new(&public);
         let subs: Vec<Submission> = (0..20)
-            .map(|i| seal_ahs(&mut rng, &public, round, &msg(i as u8)))
+            .map(|i| seal_ahs(&mut rng, &seal_keys, round, &msg(i as u8)))
             .collect();
         let mut server = MixServer::new(secrets.into_iter().next().unwrap(), public);
         let entries: Vec<MixEntry> = subs.iter().map(|s| s.to_entry()).collect();
@@ -700,8 +702,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let round = 4;
         let (secrets, public) = generate_chain_keys(&mut rng, 2, round);
+        let seal_keys = SealKeys::new(&public);
         let mut subs: Vec<Submission> = (0..5)
-            .map(|i| seal_ahs(&mut rng, &public, round, &msg(i as u8)))
+            .map(|i| seal_ahs(&mut rng, &seal_keys, round, &msg(i as u8)))
             .collect();
         // User 3 submits garbage (valid DH key + PoK, broken ciphertext).
         for b in subs[3].ct.iter_mut() {
@@ -724,8 +727,9 @@ mod tests {
         let round = 6;
         let (secrets, public) = generate_chain_keys(&mut rng, 1, round);
         let n = 4 * super::PARALLEL_HOP_THRESHOLD;
+        let seal_keys = SealKeys::new(&public);
         let mut subs: Vec<Submission> = (0..n)
-            .map(|i| seal_ahs(&mut rng, &public, round, &msg(i as u8)))
+            .map(|i| seal_ahs(&mut rng, &seal_keys, round, &msg(i as u8)))
             .collect();
         let bad: Vec<usize> = vec![1, n / 2, n - 1];
         for &i in &bad {
@@ -748,8 +752,9 @@ mod tests {
         let round = 1;
         let (secrets, public) = generate_chain_keys(&mut rng, 1, round);
         let n = 3 * super::PARALLEL_HOP_THRESHOLD;
+        let seal_keys = SealKeys::new(&public);
         let subs: Vec<Submission> = (0..n)
-            .map(|i| seal_ahs(&mut rng, &public, round, &msg(i as u8)))
+            .map(|i| seal_ahs(&mut rng, &seal_keys, round, &msg(i as u8)))
             .collect();
         let server = MixServer::new(secrets.into_iter().next().unwrap(), public);
         let entries: Vec<MixEntry> = subs.iter().map(|s| s.to_entry()).collect();
@@ -777,8 +782,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let round = 2;
         let (secrets, public) = generate_chain_keys(&mut rng, 2, round);
+        let seal_keys = SealKeys::new(&public);
         let subs: Vec<Submission> = (0..6)
-            .map(|i| seal_ahs(&mut rng, &public, round, &msg(i as u8)))
+            .map(|i| seal_ahs(&mut rng, &seal_keys, round, &msg(i as u8)))
             .collect();
         let entries: Vec<MixEntry> = subs.iter().map(|s| s.to_entry()).collect();
         let mut server = MixServer::new(secrets.into_iter().next().unwrap(), public.clone());
@@ -802,8 +808,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let round = 2;
         let (secrets, public) = generate_chain_keys(&mut rng, 1, round);
+        let seal_keys = SealKeys::new(&public);
         let subs: Vec<Submission> = (0..4)
-            .map(|i| seal_ahs(&mut rng, &public, round, &msg(i as u8)))
+            .map(|i| seal_ahs(&mut rng, &seal_keys, round, &msg(i as u8)))
             .collect();
         let entries: Vec<MixEntry> = subs.iter().map(|s| s.to_entry()).collect();
         let mut server = MixServer::new(secrets.into_iter().next().unwrap(), public.clone());
@@ -858,8 +865,9 @@ mod tests {
     fn input_digest_is_order_independent() {
         let mut rng = StdRng::seed_from_u64(7);
         let (_, public) = generate_chain_keys(&mut rng, 1, 0);
+        let seal_keys = SealKeys::new(&public);
         let subs: Vec<Submission> = (0..3)
-            .map(|i| seal_ahs(&mut rng, &public, 0, &msg(i as u8)))
+            .map(|i| seal_ahs(&mut rng, &seal_keys, 0, &msg(i as u8)))
             .collect();
         let entries: Vec<MixEntry> = subs.iter().map(|s| s.to_entry()).collect();
         let mut reversed = entries.clone();
@@ -875,8 +883,9 @@ mod tests {
         let k = 3;
         let round = 11;
         let (secrets, public) = generate_chain_keys(&mut rng, k, round);
+        let seal_keys = SealKeys::new(&public);
         let subs: Vec<Submission> = (0..6)
-            .map(|i| seal_ahs(&mut rng, &public, round, &msg(i as u8)))
+            .map(|i| seal_ahs(&mut rng, &seal_keys, round, &msg(i as u8)))
             .collect();
         let mut servers: Vec<MixServer> = secrets
             .into_iter()
@@ -938,8 +947,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(8);
         let round = 3;
         let (secrets, public) = generate_chain_keys(&mut rng, 1, round);
+        let seal_keys = SealKeys::new(&public);
         let subs: Vec<Submission> = (0..6)
-            .map(|i| seal_ahs(&mut rng, &public, round, &msg(i as u8)))
+            .map(|i| seal_ahs(&mut rng, &seal_keys, round, &msg(i as u8)))
             .collect();
         let entries: Vec<MixEntry> = subs.iter().map(|s| s.to_entry()).collect();
         let mut server = MixServer::new(secrets.into_iter().next().unwrap(), public.clone());

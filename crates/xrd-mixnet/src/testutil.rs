@@ -100,7 +100,7 @@ mod tests {
         let (_, public) = generate_chain_keys(&mut rng, 3, 0);
         let honest = crate::client::seal_ahs(
             &mut rng,
-            &public,
+            &crate::client::SealKeys::new(&public),
             0,
             &crate::message::MailboxMessage {
                 mailbox: [0u8; 32],

@@ -240,6 +240,7 @@ impl RemoteDeployment {
             .collect();
 
         // Client side: seal ℓ submissions per user (+ covers for ρ+1).
+        let seal_span = xrd_obs::span_timer("round.seal", round);
         let mut per_chain = collect_submissions(
             rng,
             &self.topo,
@@ -249,6 +250,7 @@ impl RemoteDeployment {
             &mut self.cover_store,
             users,
         );
+        drop(seal_span);
         for (chain, sub) in self.injected.drain(..) {
             per_chain[chain.0 as usize].push(sub);
         }
@@ -472,7 +474,7 @@ impl RemoteDeployment {
         // then decryption runs from the prefetched map.
         let fetch_span = xrd_obs::span_timer("round.fetch", round);
         let mut prefetched = self.fetch_reactor(round, users)?;
-        let fetched = open_fetched(&self.topo, round, users, |mailbox| {
+        let fetched = open_fetched(&self.topo, users, |mailbox| {
             Ok(prefetched.remove(mailbox).unwrap_or_default())
         })?;
         drop(fetch_span);
@@ -481,6 +483,7 @@ impl RemoteDeployment {
         // Rotation is attempted even for chains that failed this round
         // (their daemons may be healthy again); a chain whose rotation
         // fails is out of sync with its daemons and stays dead.
+        let _rotate_span = xrd_obs::span_timer("round.rotate", round);
         self.round += 1;
         for (c, chain) in self.chains.iter_mut().enumerate() {
             if self.dead[c] {

@@ -33,7 +33,7 @@ use rand::RngCore;
 use xrd_core::user::{Received, User};
 use xrd_crypto::nizk::DleqProof;
 use xrd_mixnet::chain_keys::{generate_chain_keys, rotate_inner_keys};
-use xrd_mixnet::client::{seal_ahs, Submission};
+use xrd_mixnet::client::{seal_ahs, SealKeys, Submission};
 use xrd_mixnet::message::{MailboxMessage, MixEntry, MAILBOX_MSG_LEN};
 use xrd_mixnet::server::verify_hop;
 
@@ -262,6 +262,7 @@ pub fn sealed_submissions<R: RngCore + ?Sized>(
     round: u64,
     n: usize,
 ) -> Vec<Submission> {
+    let keys = SealKeys::new(public);
     (0..n)
         .map(|i| {
             let mut mailbox = [0u8; 32];
@@ -270,7 +271,7 @@ pub fn sealed_submissions<R: RngCore + ?Sized>(
                 mailbox,
                 sealed: vec![0u8; MAILBOX_MSG_LEN - 32],
             };
-            seal_ahs(rng, public, round, &msg)
+            seal_ahs(rng, &keys, round, &msg)
         })
         .collect()
 }

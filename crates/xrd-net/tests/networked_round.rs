@@ -211,7 +211,8 @@ fn bad_pok_rejected_at_submission() {
         mailbox: [7u8; 32],
         sealed: vec![1u8; xrd_mixnet::PAYLOAD_LEN + xrd_crypto::TAG_LEN],
     };
-    let wrong_round = xrd_mixnet::seal_ahs(&mut rng, &deployment.chain_keys()[0], 99, &msg);
+    let keys = xrd_mixnet::SealKeys::new(&deployment.chain_keys()[0]);
+    let wrong_round = xrd_mixnet::seal_ahs(&mut rng, &keys, 99, &msg);
 
     let addr = deployment.chain_addrs()[0][0];
     let mut conn = Conn::connect(addr).expect("connect");

@@ -14,7 +14,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use xrd::mixnet::client::seal_ahs;
+use xrd::mixnet::client::{seal_ahs, SealKeys};
 use xrd::mixnet::testutil::malicious_submission;
 use xrd::mixnet::{ChainRunner, MailboxMessage, Submission, PAYLOAD_LEN};
 
@@ -26,13 +26,14 @@ fn main() {
     println!("chain of {k} servers, AHS enabled");
 
     // Eight honest users...
+    let seal_keys = SealKeys::new(chain.public());
     let mut subs: Vec<Submission> = (0..8)
         .map(|i| {
             let msg = MailboxMessage {
                 mailbox: [i as u8; 32],
                 sealed: vec![i as u8; PAYLOAD_LEN + 16],
             };
-            seal_ahs(&mut rng, chain.public(), round, &msg)
+            seal_ahs(&mut rng, &seal_keys, round, &msg)
         })
         .collect();
 

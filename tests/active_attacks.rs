@@ -8,16 +8,16 @@ use rand::SeedableRng;
 use xrd::crypto::ristretto::GroupElement;
 use xrd::crypto::scalar::Scalar;
 use xrd::mixnet::blame::BlameVerdict;
-use xrd::mixnet::client::seal_ahs;
+use xrd::mixnet::client::{seal_ahs, SealKeys};
 use xrd::mixnet::testutil::malicious_submission;
 use xrd::mixnet::{run_blame, ChainRunner, MailboxMessage, MixError, Submission, PAYLOAD_LEN};
 
-fn honest_submission(rng: &mut StdRng, chain: &ChainRunner, round: u64, tag: u8) -> Submission {
+fn honest_submission(rng: &mut StdRng, keys: &SealKeys, round: u64, tag: u8) -> Submission {
     let msg = MailboxMessage {
         mailbox: [tag; 32],
         sealed: vec![tag; PAYLOAD_LEN + 16],
     };
-    seal_ahs(rng, chain.public(), round, &msg)
+    seal_ahs(rng, keys, round, &msg)
 }
 
 #[test]
@@ -26,8 +26,9 @@ fn malicious_users_at_every_layer_are_caught() {
     let k = 5;
     for bad_layer in 0..k {
         let mut chain = ChainRunner::new(&mut rng, k, 0);
+        let seal_keys = SealKeys::new(chain.public());
         let mut subs: Vec<Submission> = (0..6)
-            .map(|i| honest_submission(&mut rng, &chain, 0, i))
+            .map(|i| honest_submission(&mut rng, &seal_keys, 0, i))
             .collect();
         subs.insert(
             3,
@@ -49,8 +50,9 @@ fn mixed_honest_and_multiple_attackers() {
     let mut rng = StdRng::seed_from_u64(2);
     let k = 3;
     let mut chain = ChainRunner::new(&mut rng, k, 1);
+    let seal_keys = SealKeys::new(chain.public());
     let mut subs: Vec<Submission> = (0..10)
-        .map(|i| honest_submission(&mut rng, &chain, 1, i))
+        .map(|i| honest_submission(&mut rng, &seal_keys, 1, i))
         .collect();
     // Attackers at different depths and positions.
     subs[1] = malicious_submission(&mut rng, chain.public(), 1, 0);
@@ -72,13 +74,14 @@ fn tampering_server_detected_by_aggregate_proof() {
     let mut rng = StdRng::seed_from_u64(3);
     let round = 0;
     let (secrets, public) = xrd::mixnet::generate_chain_keys(&mut rng, 2, round);
+    let seal_keys = SealKeys::new(&public);
     let subs: Vec<Submission> = (0..5)
         .map(|i| {
             let msg = MailboxMessage {
                 mailbox: [i; 32],
                 sealed: vec![i; PAYLOAD_LEN + 16],
             };
-            seal_ahs(&mut rng, &public, round, &msg)
+            seal_ahs(&mut rng, &seal_keys, round, &msg)
         })
         .collect();
     let entries: Vec<xrd::mixnet::MixEntry> = subs.iter().map(|s| s.to_entry()).collect();
@@ -106,8 +109,9 @@ fn appendix_a_product_preserving_attack_is_pinned_by_blame() {
     let mut rng = StdRng::seed_from_u64(4);
     let round = 2;
     let mut chain = ChainRunner::new(&mut rng, 3, round);
+    let seal_keys = SealKeys::new(chain.public());
     let subs: Vec<Submission> = (0..6)
-        .map(|i| honest_submission(&mut rng, &chain, round, i))
+        .map(|i| honest_submission(&mut rng, &seal_keys, round, i))
         .collect();
 
     let public = chain.public().clone();
@@ -159,8 +163,9 @@ fn chain_halts_without_delivery_when_server_misbehaves() {
     let mut rng = StdRng::seed_from_u64(5);
     let round = 0;
     let mut chain = ChainRunner::new(&mut rng, 2, round);
+    let seal_keys = SealKeys::new(chain.public());
     let subs: Vec<Submission> = (0..4)
-        .map(|i| honest_submission(&mut rng, &chain, round, i))
+        .map(|i| honest_submission(&mut rng, &seal_keys, round, i))
         .collect();
 
     // Manually drive: server 0 processes then tampers a ciphertext
@@ -193,8 +198,9 @@ fn chain_halts_without_delivery_when_server_misbehaves() {
 fn forged_pok_rejected_at_submission() {
     let mut rng = StdRng::seed_from_u64(6);
     let mut chain = ChainRunner::new(&mut rng, 2, 0);
+    let seal_keys = SealKeys::new(chain.public());
     let mut subs: Vec<Submission> = (0..3)
-        .map(|i| honest_submission(&mut rng, &chain, 0, i))
+        .map(|i| honest_submission(&mut rng, &seal_keys, 0, i))
         .collect();
     // Replay attack: reuse another user's PoK with our own DH key.
     let pok = subs[0].pok;

@@ -8,7 +8,7 @@ use rand::SeedableRng;
 use xrd::crypto::ristretto::GroupElement;
 use xrd::crypto::scalar::Scalar;
 use xrd::crypto::{adec, aenc, round_nonce};
-use xrd::mixnet::client::seal_ahs;
+use xrd::mixnet::client::{seal_ahs, SealKeys};
 use xrd::mixnet::{generate_chain_keys, open_batch, MailboxMessage, MixServer, PAYLOAD_LEN};
 use xrd::topology::SelectionTable;
 
@@ -96,9 +96,10 @@ proptest! {
                 sealed: vec![(i * 3) as u8; PAYLOAD_LEN + 16],
             })
             .collect();
+        let seal_keys = SealKeys::new(&public);
         let mut entries: Vec<xrd::mixnet::MixEntry> = msgs
             .iter()
-            .map(|m| seal_ahs(&mut rng, &public, round, m).to_entry())
+            .map(|m| seal_ahs(&mut rng, &seal_keys, round, m).to_entry())
             .collect();
         let mut servers: Vec<MixServer> = secrets
             .into_iter()
